@@ -92,12 +92,12 @@ def build_cases(quick: bool = False, seed: int = 0) -> List[BenchCase]:
 
     def _scan_inputs():
         from ..codecs.huffman import STD_AC_LUMA, STD_DC_LUMA
-        from ..codecs.jpeg import _plane_to_quantized_blocks, quality_scaled_tables
+        from ..codecs.jpeg import _planes_to_quantized_blocks, quality_scaled_tables
         from .. import kernels
 
         rng = np.random.default_rng(seed)
         plane = _smooth_image(rng, size)[..., 0].astype(np.float64)
-        blocks = _plane_to_quantized_blocks(plane, quality_scaled_tables(85)[0])
+        blocks = _planes_to_quantized_blocks(plane[None], quality_scaled_tables(85)[0])[0]
         comp_of_unit, block_of_unit = kernels.scan_layout(
             size // 8, size // 8, ((1, 1),)
         )

@@ -1,28 +1,31 @@
-"""End-to-end capture-path macro benchmark: fused batched vs per-capture.
+"""End-to-end capture-path macro benchmark: fused groups vs groups of one.
 
 ``python -m repro bench --e2e`` measures fleet throughput (captures/s)
 for the full sensor -> ISP -> encode -> decode path on the macro case the
 fleet studies run: every phone in the capture fleet photographing a set
 of displayed scenes several times each. Two executors resolve the *same*
-unit list:
+unit list through the same code
+(:func:`~repro.runner.units.execute_unit_group`, the only executor):
 
-* **per_capture** — ``FleetExecutor(batched=False)``, the legacy path:
-  one ``execute_unit`` per capture, including a full parse-and-decode of
-  the encoded file;
+* **per_capture** — ``FleetExecutor(batched=False)``: every capture is a
+  group of one, so nothing is shared between the repeats of a
+  (phone, scene) pair;
 * **fused** — ``FleetExecutor(batched=True)`` (the default), which
   groups the repeats of each (phone, scene) pair into one vectorized
-  ``execute_unit_group`` pass.
+  pass: one shared exposure front end, one ``(N, H, W, C)`` ISP pass,
+  one batched JPEG front and back end.
 
-Both passes run serially on a cold capture cache (no cache attached at
-all) with the model out of the loop, so the ratio isolates the capture
-path itself. A warm-up pass outside the clock populates the per-process
-phone cache and the kernel LUTs for both arms alike.
+The ratio therefore measures what grouping buys, not a second code
+path. Both passes run serially on a cold capture cache (no cache
+attached at all) with the model out of the loop, so the ratio isolates
+the capture path itself. A warm-up pass outside the clock populates the
+per-process phone cache and the kernel LUTs for both arms alike.
 
 The report also carries ``identity_ok``: a byte-level comparison of
-every payload between the two arms. The speedup claim is only meaningful
-because the fused path is bit-identical — a fast-but-different batch
-path would be a correctness bug, not an optimization (see
-``tests/runner/test_batch_invariance.py``).
+every payload between the two arms. Grouping must not change a bit — a
+group whose items influenced each other would be a correctness bug, not
+an optimization (see ``tests/runner/test_batch_invariance.py`` and the
+golden hashes in ``tests/runner/test_golden_payloads.py``).
 """
 
 from __future__ import annotations

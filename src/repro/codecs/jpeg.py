@@ -29,14 +29,11 @@ import numpy as np
 
 from ..imaging.color import rgb_to_ycbcr, ycbcr_to_rgb
 from ..imaging.image import ImageBuffer
-from ..lint.contracts import tensor_contract
 from .bitio import BitReader
 from .dct import (
     block_dct,
     block_idct,
     block_idct_fixed_point,
-    blockify,
-    unblockify,
     zigzag_order,
 )
 from .huffman import (
@@ -116,72 +113,71 @@ def quality_scaled_tables(quality: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 # ----------------------------------------------------------------------
-# Plane <-> quantized blocks
+# Plane helpers. They index the trailing two axes, so they serve single
+# ``(H, W)`` planes (the webp/heif codecs) and ``(N, H, W)`` stacks alike.
 # ----------------------------------------------------------------------
-def _plane_to_quantized_blocks(plane: np.ndarray, quant: np.ndarray) -> np.ndarray:
-    """Level-shift, DCT, and quantize a padded plane into zig-zag blocks."""
-    blocks = blockify(np.asarray(plane, dtype=np.float64) - 128.0, 8)
-    coeffs = block_dct(blocks)
-    quantized = np.round(coeffs / quant[None]).astype(np.int64)
-    zz = zigzag_order(8)
-    return quantized.reshape(-1, 64)[:, zz]
-
-
-def _quantized_blocks_to_plane(
-    blocks_zz: np.ndarray,
-    quant: np.ndarray,
-    height: int,
-    width: int,
-    idct: str,
-) -> np.ndarray:
-    """Dequantize, inverse-DCT, and reassemble a plane (values 0..255)."""
-    zz = zigzag_order(8)
-    raster = np.empty_like(blocks_zz)
-    raster[:, zz] = blocks_zz
-    coeffs = raster.reshape(-1, 8, 8).astype(np.float64) * quant[None]
-    if idct == "float":
-        spatial = block_idct(coeffs)
-    elif idct == "fixed11":
-        spatial = block_idct_fixed_point(coeffs, fraction_bits=11)
-    elif idct == "fixed8":
-        spatial = block_idct_fixed_point(coeffs, fraction_bits=8)
-    else:
-        raise ValueError(f"unknown IDCT variant {idct!r}")
-    plane = unblockify(spatial, height, width) + 128.0
-    return plane
-
-
-def _pad_plane(plane: np.ndarray, multiple: int) -> np.ndarray:
-    h, w = plane.shape
+def _pad_plane(planes: np.ndarray, multiple: int) -> np.ndarray:
+    """Edge-pad the last two axes up to a multiple of ``multiple``."""
+    h, w = planes.shape[-2:]
     pad_h = (-h) % multiple
     pad_w = (-w) % multiple
     if pad_h or pad_w:
-        plane = np.pad(plane, ((0, pad_h), (0, pad_w)), mode="edge")
-    return plane
+        pads = [(0, 0)] * (planes.ndim - 2) + [(0, pad_h), (0, pad_w)]
+        planes = np.pad(planes, pads, mode="edge")
+    return planes
 
 
-def _subsample_420(plane: np.ndarray) -> np.ndarray:
+def _subsample_420(planes: np.ndarray) -> np.ndarray:
     """2x2 box-average chroma downsampling (even dims required).
 
     The explicit sum reproduces ``.mean(axis=(1, 3))`` bit-for-bit
     (same reduce order, and ``* 0.25`` is exact) at half the cost.
     """
-    a = plane[0::2, 0::2]
-    b = plane[0::2, 1::2]
-    c = plane[1::2, 0::2]
-    d = plane[1::2, 1::2]
+    a = planes[..., 0::2, 0::2]
+    b = planes[..., 0::2, 1::2]
+    c = planes[..., 1::2, 0::2]
+    d = planes[..., 1::2, 1::2]
     return ((a + b) + (c + d)) * 0.25
 
 
-def _planes_to_quantized_blocks_batch(planes: np.ndarray, quant: np.ndarray) -> np.ndarray:
-    """Batched :func:`_plane_to_quantized_blocks` over ``(N, H, W)`` planes.
+def _upsample_2x_nearest(planes: np.ndarray) -> np.ndarray:
+    return np.repeat(np.repeat(planes, 2, axis=-2), 2, axis=-1)
 
-    Deliberately not ``@tensor_contract``-annotated: the batch axis is
-    folded into the block axis before the DCT (each 8x8 block transforms
-    independently, so any leading-dim grouping is bit-identical — the
-    property the codec batch tests pin), which SHAPE001's conservative
-    reshape rule cannot prove.
-    """
+
+def _upsample_2x_bilinear(planes: np.ndarray) -> np.ndarray:
+    """Triangle-filter ("fancy") chroma upsampling a la libjpeg."""
+    h, w = planes.shape[-2:]
+    pads = [(0, 0)] * (planes.ndim - 2) + [(1, 1), (1, 1)]
+    padded = np.pad(planes, pads, mode="edge")
+    out = np.empty(planes.shape[:-2] + (2 * h, 2 * w), dtype=planes.dtype)
+    # Each output sample mixes the nearest chroma sample (weight 3) with the
+    # neighbour on each axis (weight 1) -> weights 9/3/3/1 over 16.
+    c = padded[..., 1:-1, 1:-1]
+    up = padded[..., :-2, 1:-1]
+    down = padded[..., 2:, 1:-1]
+    left = padded[..., 1:-1, :-2]
+    right = padded[..., 1:-1, 2:]
+    ul = padded[..., :-2, :-2]
+    ur = padded[..., :-2, 2:]
+    dl = padded[..., 2:, :-2]
+    dr = padded[..., 2:, 2:]
+    out[..., 0::2, 0::2] = (9 * c + 3 * up + 3 * left + ul) / 16.0
+    out[..., 0::2, 1::2] = (9 * c + 3 * up + 3 * right + ur) / 16.0
+    out[..., 1::2, 0::2] = (9 * c + 3 * down + 3 * left + dl) / 16.0
+    out[..., 1::2, 1::2] = (9 * c + 3 * down + 3 * right + dr) / 16.0
+    return out
+
+
+# ----------------------------------------------------------------------
+# (N, H, W) plane stacks <-> (N, blocks, 64) quantized zig-zag blocks.
+#
+# Deliberately not ``@tensor_contract``-annotated: the batch axis is
+# folded into the block axis around the DCT (each 8x8 block transforms
+# independently, so the folding cannot couple items), which SHAPE001's
+# conservative reshape rule cannot prove.
+# ----------------------------------------------------------------------
+def _planes_to_quantized_blocks(planes: np.ndarray, quant: np.ndarray) -> np.ndarray:
+    """Level-shift, DCT, and quantize padded planes into zig-zag blocks."""
     n, h, w = planes.shape
     shifted = np.asarray(planes, dtype=np.float64) - 128.0
     blocks = (
@@ -195,19 +191,14 @@ def _planes_to_quantized_blocks_batch(planes: np.ndarray, quant: np.ndarray) -> 
     return quantized.reshape(n, -1, 64)[:, :, zz]
 
 
-def _quantized_blocks_to_planes_batch(
+def _quantized_blocks_to_planes(
     blocks_zz: np.ndarray,
     quant: np.ndarray,
     height: int,
     width: int,
     idct: str,
 ) -> np.ndarray:
-    """Batched :func:`_quantized_blocks_to_plane` over ``(N, nb, 64)`` blocks.
-
-    Not contract-annotated for the same reason as the encoder-side helper:
-    the block axis absorbs the batch axis around the (per-block
-    independent) IDCT.
-    """
+    """Dequantize, inverse-DCT, and reassemble planes (values 0..255)."""
     n = blocks_zz.shape[0]
     zz = zigzag_order(8)
     raster = np.empty_like(blocks_zz)
@@ -228,81 +219,6 @@ def _quantized_blocks_to_planes_batch(
         .reshape(n, height, width)
     )
     return planes + 128.0
-
-
-@tensor_contract("(N, ?, ?) float64, _ -> (N, ?, ?) float64")
-def _pad_planes_batch(planes: np.ndarray, multiple: int) -> np.ndarray:
-    """Edge-pad each plane of an ``(N, H, W)`` stack to a dim multiple."""
-    _n, h, w = planes.shape
-    pad_h = (-h) % multiple
-    pad_w = (-w) % multiple
-    if pad_h or pad_w:
-        planes = np.pad(planes, ((0, 0), (0, pad_h), (0, pad_w)), mode="edge")
-    return planes
-
-
-@tensor_contract("(N, ?, ?) float64 -> (N, ?, ?) float64")
-def _subsample_420_batch(planes: np.ndarray) -> np.ndarray:
-    """Batched :func:`_subsample_420` over ``(N, H, W)`` chroma planes."""
-    a = planes[:, 0::2, 0::2]
-    b = planes[:, 0::2, 1::2]
-    c = planes[:, 1::2, 0::2]
-    d = planes[:, 1::2, 1::2]
-    return ((a + b) + (c + d)) * 0.25
-
-
-def _upsample_2x_nearest(plane: np.ndarray) -> np.ndarray:
-    return np.repeat(np.repeat(plane, 2, axis=0), 2, axis=1)
-
-
-def _upsample_2x_bilinear(plane: np.ndarray) -> np.ndarray:
-    """Triangle-filter ("fancy") chroma upsampling a la libjpeg."""
-    h, w = plane.shape
-    padded = np.pad(plane, 1, mode="edge")
-    out = np.empty((2 * h, 2 * w), dtype=plane.dtype)
-    # Each output sample mixes the nearest chroma sample (weight 3) with the
-    # neighbour on each axis (weight 1) -> weights 9/3/3/1 over 16.
-    c = padded[1:-1, 1:-1]
-    up = padded[:-2, 1:-1]
-    down = padded[2:, 1:-1]
-    left = padded[1:-1, :-2]
-    right = padded[1:-1, 2:]
-    ul = padded[:-2, :-2]
-    ur = padded[:-2, 2:]
-    dl = padded[2:, :-2]
-    dr = padded[2:, 2:]
-    out[0::2, 0::2] = (9 * c + 3 * up + 3 * left + ul) / 16.0
-    out[0::2, 1::2] = (9 * c + 3 * up + 3 * right + ur) / 16.0
-    out[1::2, 0::2] = (9 * c + 3 * down + 3 * left + dl) / 16.0
-    out[1::2, 1::2] = (9 * c + 3 * down + 3 * right + dr) / 16.0
-    return out
-
-
-@tensor_contract("(N, ?, ?) float64 -> (N, ?, ?) float64")
-def _upsample_2x_nearest_batch(planes: np.ndarray) -> np.ndarray:
-    return np.repeat(np.repeat(planes, 2, axis=1), 2, axis=2)
-
-
-@tensor_contract("(N, ?, ?) float64 -> (N, ?, ?) float64")
-def _upsample_2x_bilinear_batch(planes: np.ndarray) -> np.ndarray:
-    """Batched :func:`_upsample_2x_bilinear` over ``(N, H, W)`` planes."""
-    n, h, w = planes.shape
-    padded = np.pad(planes, ((0, 0), (1, 1), (1, 1)), mode="edge")
-    out = np.empty((n, 2 * h, 2 * w), dtype=planes.dtype)
-    c = padded[:, 1:-1, 1:-1]
-    up = padded[:, :-2, 1:-1]
-    down = padded[:, 2:, 1:-1]
-    left = padded[:, 1:-1, :-2]
-    right = padded[:, 1:-1, 2:]
-    ul = padded[:, :-2, :-2]
-    ur = padded[:, :-2, 2:]
-    dl = padded[:, 2:, :-2]
-    dr = padded[:, 2:, 2:]
-    out[:, 0::2, 0::2] = (9 * c + 3 * up + 3 * left + ul) / 16.0
-    out[:, 0::2, 1::2] = (9 * c + 3 * up + 3 * right + ur) / 16.0
-    out[:, 1::2, 0::2] = (9 * c + 3 * down + 3 * left + dl) / 16.0
-    out[:, 1::2, 1::2] = (9 * c + 3 * down + 3 * right + dr) / 16.0
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -328,6 +244,152 @@ def _dht_segment(table_class: int, table_id: int, table: HuffmanTable) -> bytes:
 _APP0_JFIF = _segment(0xE0, b"JFIF\x00\x01\x01\x00\x00\x01\x00\x01\x00\x00")
 
 
+def _header(height: int, width: int, luma_sampling: int, luma_q, chroma_q) -> bytes:
+    """Every marker segment from SOI through SOS (the scan follows)."""
+    sof = struct.pack(">BHHB", 8, height, width, 3) + bytes(
+        [
+            1, luma_sampling, 0,  # Y
+            2, 0x11, 1,  # Cb
+            3, 0x11, 1,  # Cr
+        ]
+    )
+    sos = bytes([3, 1, 0x00, 2, 0x11, 3, 0x11, 0, 63, 0])
+    return b"".join(
+        [
+            b"\xff\xd8",  # SOI
+            _APP0_JFIF,
+            _dqt_segment(0, luma_q),
+            _dqt_segment(1, chroma_q),
+            _segment(0xC0, sof),
+            _dht_segment(0, 0, STD_DC_LUMA),
+            _dht_segment(1, 0, STD_AC_LUMA),
+            _dht_segment(0, 1, STD_DC_CHROMA),
+            _dht_segment(1, 1, STD_AC_CHROMA),
+            _segment(0xDA, sos),
+        ]
+    )
+
+
+# ----------------------------------------------------------------------
+# Front end, file writer, back end
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class _Coded:
+    """A batch's quantized blocks and frame geometry, per Y/Cb/Cr component.
+
+    ``blocks[c]`` is ``(N, n_blocks, 64)`` in zig-zag order; ``shapes[c]``
+    is that component's padded plane size. The decoder recovers exactly
+    these values from a file's SOF/DQT segments and entropy-coded scan.
+    """
+
+    blocks: Tuple[np.ndarray, np.ndarray, np.ndarray]
+    quants: Tuple[np.ndarray, np.ndarray, np.ndarray]
+    shapes: Tuple[Tuple[int, int], ...]
+    height: int
+    width: int
+    subsampled: bool
+
+
+def _front_end(images: Sequence[ImageBuffer], quality: int, subsampling: str) -> _Coded:
+    """Color convert, pad, subsample, DCT and quantize a same-size batch."""
+    if subsampling not in ("4:2:0", "4:4:4"):
+        raise ValueError(f"unsupported subsampling {subsampling!r}")
+    luma_q, chroma_q = quality_scaled_tables(quality)
+
+    rgb255 = np.stack([img.to_uint8() for img in images]).astype(np.float64)
+    ycc = np.asarray(rgb_to_ycbcr(rgb255 / 255.0), dtype=np.float64)
+    y_planes = ycc[..., 0] * 255.0
+    cb_planes = ycc[..., 1] * 255.0 + 128.0
+    cr_planes = ycc[..., 2] * 255.0 + 128.0
+
+    subsampled = subsampling == "4:2:0"
+    if subsampled:
+        y_pad = _pad_plane(y_planes, 16)
+        cb_pad = _pad_plane(_subsample_420(_pad_plane(cb_planes, 2)), 8)
+        cr_pad = _pad_plane(_subsample_420(_pad_plane(cr_planes, 2)), 8)
+    else:
+        y_pad = _pad_plane(y_planes, 8)
+        cb_pad = _pad_plane(cb_planes, 8)
+        cr_pad = _pad_plane(cr_planes, 8)
+
+    quants = (luma_q, chroma_q, chroma_q)
+    planes = (y_pad, cb_pad, cr_pad)
+    return _Coded(
+        blocks=tuple(_planes_to_quantized_blocks(p, q) for p, q in zip(planes, quants)),
+        quants=quants,
+        shapes=tuple(p.shape[1:] for p in planes),
+        height=y_planes.shape[1],
+        width=y_planes.shape[2],
+        subsampled=subsampled,
+    )
+
+
+def _write_files(coded: _Coded) -> List[bytes]:
+    """Entropy-code each item's blocks behind the shared marker header."""
+    mcu = 16 if coded.subsampled else 8
+    luma_sampling = 2 if coded.subsampled else 1
+    y_h, y_w = coded.shapes[0]
+    samplings = ((luma_sampling, luma_sampling), (1, 1), (1, 1))
+    comp_of_unit, block_of_unit = kernels.scan_layout(y_h // mcu, y_w // mcu, samplings)
+    header = _header(
+        coded.height,
+        coded.width,
+        (luma_sampling << 4) | luma_sampling,
+        coded.quants[0],
+        coded.quants[1],
+    )
+    y_blocks, cb_blocks, cr_blocks = coded.blocks
+    datas = []
+    for i in range(y_blocks.shape[0]):
+        entropy = kernels.encode_jpeg_scan(
+            (y_blocks[i], cb_blocks[i], cr_blocks[i]),
+            comp_of_unit,
+            block_of_unit,
+            (STD_DC_LUMA, STD_DC_CHROMA, STD_DC_CHROMA),
+            (STD_AC_LUMA, STD_AC_CHROMA, STD_AC_CHROMA),
+        )
+        datas.append(header + entropy + b"\xff\xd9")  # ... EOI
+    return datas
+
+
+def _check_decode_options(options: JpegDecodeOptions) -> None:
+    if options.rounding not in ("round", "truncate"):
+        raise ValueError(f"unknown rounding mode {options.rounding!r}")
+    if options.chroma_upsample not in ("bilinear", "nearest"):
+        raise ValueError(f"unknown upsampling {options.chroma_upsample!r}")
+
+
+def _back_end(coded: _Coded, options: JpegDecodeOptions) -> np.ndarray:
+    """Dequantize, IDCT, upsample, color convert and round: ``(N, H, W, 3)`` uint8."""
+    y_rec, cb_rec, cr_rec = (
+        _quantized_blocks_to_planes(blocks, quant, h, w, options.idct)
+        for blocks, quant, (h, w) in zip(coded.blocks, coded.quants, coded.shapes)
+    )
+    if coded.subsampled:
+        upsample = (
+            _upsample_2x_bilinear
+            if options.chroma_upsample == "bilinear"
+            else _upsample_2x_nearest
+        )
+        cb_rec = upsample(cb_rec)
+        cr_rec = upsample(cr_rec)
+
+    height, width = coded.height, coded.width
+    y_rec = y_rec[:, :height, :width]
+    cb_rec = cb_rec[:, :height, :width]
+    cr_rec = cr_rec[:, :height, :width]
+
+    ycc = np.stack(
+        [y_rec / 255.0, (cb_rec - 128.0) / 255.0, (cr_rec - 128.0) / 255.0],
+        axis=-1,
+    )
+    rgb = ycbcr_to_rgb(ycc) * 255.0
+    rgb = np.clip(rgb, 0.0, 255.0)
+    if options.rounding == "round":
+        return np.floor(rgb + 0.5).astype(np.uint8)
+    return rgb.astype(np.uint8)  # truncation
+
+
 # ----------------------------------------------------------------------
 # Public API
 # ----------------------------------------------------------------------
@@ -348,73 +410,7 @@ def encode_jpeg(
         ``"4:2:0"`` (default, what phone camera pipelines emit) or
         ``"4:4:4"``.
     """
-    if subsampling not in ("4:2:0", "4:4:4"):
-        raise ValueError(f"unsupported subsampling {subsampling!r}")
-    luma_q, chroma_q = quality_scaled_tables(quality)
-
-    rgb255 = image.to_uint8().astype(np.float64)
-    ycc = np.asarray(rgb_to_ycbcr(rgb255 / 255.0), dtype=np.float64)
-    y_plane = ycc[..., 0] * 255.0
-    cb_plane = ycc[..., 1] * 255.0 + 128.0
-    cr_plane = ycc[..., 2] * 255.0 + 128.0
-
-    height, width = y_plane.shape
-    if subsampling == "4:2:0":
-        mcu = 16
-        y_pad = _pad_plane(y_plane, mcu)
-        cb_small = _subsample_420(_pad_plane(cb_plane, 2))
-        cr_small = _subsample_420(_pad_plane(cr_plane, 2))
-        cb_pad = _pad_plane(cb_small, 8)
-        cr_pad = _pad_plane(cr_small, 8)
-        h_samp, v_samp = 2, 2
-    else:
-        mcu = 8
-        y_pad = _pad_plane(y_plane, mcu)
-        cb_pad = _pad_plane(cb_plane, 8)
-        cr_pad = _pad_plane(cr_plane, 8)
-        h_samp, v_samp = 1, 1
-
-    y_blocks = _plane_to_quantized_blocks(y_pad, luma_q)
-    cb_blocks = _plane_to_quantized_blocks(cb_pad, chroma_q)
-    cr_blocks = _plane_to_quantized_blocks(cr_pad, chroma_q)
-
-    mcu_rows = y_pad.shape[0] // mcu
-    mcu_cols = y_pad.shape[1] // mcu
-    samplings = ((h_samp, v_samp), (1, 1), (1, 1))
-    comp_of_unit, block_of_unit = kernels.scan_layout(mcu_rows, mcu_cols, samplings)
-    entropy = kernels.encode_jpeg_scan(
-        (y_blocks, cb_blocks, cr_blocks),
-        comp_of_unit,
-        block_of_unit,
-        (STD_DC_LUMA, STD_DC_CHROMA, STD_DC_CHROMA),
-        (STD_AC_LUMA, STD_AC_CHROMA, STD_AC_CHROMA),
-    )
-
-    sof = struct.pack(
-        ">BHHB", 8, height, width, 3
-    ) + bytes(
-        [
-            1, (h_samp << 4) | v_samp, 0,  # Y
-            2, 0x11, 1,  # Cb
-            3, 0x11, 1,  # Cr
-        ]
-    )
-    sos = bytes([3, 1, 0x00, 2, 0x11, 3, 0x11, 0, 63, 0])
-
-    out = bytearray()
-    out += b"\xff\xd8"  # SOI
-    out += _APP0_JFIF
-    out += _dqt_segment(0, luma_q)
-    out += _dqt_segment(1, chroma_q)
-    out += _segment(0xC0, sof)
-    out += _dht_segment(0, 0, STD_DC_LUMA)
-    out += _dht_segment(1, 0, STD_AC_LUMA)
-    out += _dht_segment(0, 1, STD_DC_CHROMA)
-    out += _dht_segment(1, 1, STD_AC_CHROMA)
-    out += _segment(0xDA, sos)
-    out += entropy
-    out += b"\xff\xd9"  # EOI
-    return bytes(out)
+    return _write_files(_front_end([image], quality, subsampling))[0]
 
 
 @dataclass(frozen=True)
@@ -447,10 +443,7 @@ def decode_jpeg(data: bytes, options: JpegDecodeOptions | None = None) -> ImageB
     defaults.
     """
     options = options or JpegDecodeOptions()
-    if options.rounding not in ("round", "truncate"):
-        raise ValueError(f"unknown rounding mode {options.rounding!r}")
-    if options.chroma_upsample not in ("bilinear", "nearest"):
-        raise ValueError(f"unknown upsampling {options.chroma_upsample!r}")
+    _check_decode_options(options)
 
     if data[:2] != b"\xff\xd8":
         raise ValueError("not a JPEG stream (missing SOI)")
@@ -567,42 +560,19 @@ def decode_jpeg(data: bytes, options: JpegDecodeOptions | None = None) -> ImageB
     for ci, cid in enumerate(order):
         comp_info[cid]["blocks"] = decoded[ci]
 
-    planes = {}
-    for cid, info in comp_info.items():
-        plane_h = (info["blocks"].shape[0] // info["blocks_w"]) * 8
-        plane_w = info["blocks_w"] * 8
-        planes[cid] = _quantized_blocks_to_plane(
-            info["blocks"], info["quant"], plane_h, plane_w, options.idct
-        )
-
-    y_plane = planes[1]
-    cb_plane = planes[2]
-    cr_plane = planes[3]
-    y_info = comp_info[1]
-    if y_info["h"] == 2 and y_info["v"] == 2:
-        upsample = (
-            _upsample_2x_bilinear
-            if options.chroma_upsample == "bilinear"
-            else _upsample_2x_nearest
-        )
-        cb_plane = upsample(cb_plane)
-        cr_plane = upsample(cr_plane)
-
-    y_plane = y_plane[:height, :width]
-    cb_plane = cb_plane[:height, :width]
-    cr_plane = cr_plane[:height, :width]
-
-    ycc = np.stack(
-        [y_plane / 255.0, (cb_plane - 128.0) / 255.0, (cr_plane - 128.0) / 255.0],
-        axis=-1,
+    components = [comp_info[cid] for cid in (1, 2, 3)]
+    coded = _Coded(
+        blocks=tuple(info["blocks"][None] for info in components),
+        quants=tuple(info["quant"] for info in components),
+        shapes=tuple(
+            ((info["blocks"].shape[0] // info["blocks_w"]) * 8, info["blocks_w"] * 8)
+            for info in components
+        ),
+        height=height,
+        width=width,
+        subsampled=components[0]["h"] == 2 and components[0]["v"] == 2,
     )
-    rgb = ycbcr_to_rgb(ycc) * 255.0
-    rgb = np.clip(rgb, 0.0, 255.0)
-    if options.rounding == "round":
-        rgb8 = np.floor(rgb + 0.5).astype(np.uint8)
-    else:
-        rgb8 = rgb.astype(np.uint8)  # truncation
-    return ImageBuffer.from_uint8(rgb8)
+    return ImageBuffer.from_uint8(_back_end(coded, options)[0])
 
 
 def jpeg_roundtrip_batch(
@@ -613,144 +583,38 @@ def jpeg_roundtrip_batch(
 ) -> List[Tuple[bytes, ImageBuffer]]:
     """Encode a batch and reconstruct each file's decoded pixels, fused.
 
-    Returns ``[(data, decoded), ...]`` where item ``i`` is bit-identical
-    to ``data = encode_jpeg(images[i], quality, subsampling)`` followed by
+    Returns ``[(data, decoded), ...]`` where item ``i`` equals
+    ``data = encode_jpeg(images[i], quality, subsampling)`` followed by
     ``decoded = decode_jpeg(data, options)`` — without re-parsing the
-    bytes just produced. Two fusions make this fast:
+    bytes just produced. Both directions run the shared code:
 
     * the whole batch moves through the color/subsample/DCT front end as
       ``(N, H, W)`` plane stacks (every step is either elementwise or an
-      independent per-block transform, so batching cannot change a bit);
+      independent per-block transform, so batching cannot couple items);
       only the entropy coder runs per item, because each file's bit
       stream is its own;
-    * the decode side starts from the encoder's own quantized zig-zag
+    * the back end starts from the encoder's own quantized zig-zag
       blocks. Entropy coding is lossless (``decode_scan(encode_scan(b))
       == b`` exactly — the kernels equivalence suite pins it) and the
       decoder's SOF-derived plane geometry and parsed DQT tables equal
-      the encoder's by construction, so dequantize -> IDCT -> upsample ->
-      color conversion over the same blocks reproduces ``decode_jpeg``'s
-      output exactly while skipping the marker parse and the per-symbol
-      Huffman walk.
+      the encoder's by construction, so the back end ``decode_jpeg``
+      runs after its marker parse and Huffman walk gets the same input.
     """
     options = options or JpegDecodeOptions()
-    if options.rounding not in ("round", "truncate"):
-        raise ValueError(f"unknown rounding mode {options.rounding!r}")
-    if options.chroma_upsample not in ("bilinear", "nearest"):
-        raise ValueError(f"unknown upsampling {options.chroma_upsample!r}")
-    if subsampling not in ("4:2:0", "4:4:4"):
-        raise ValueError(f"unsupported subsampling {subsampling!r}")
+    _check_decode_options(options)
     images = list(images)
     if not images:
         return []
     if len({img.shape for img in images}) != 1:
-        # Mixed geometry: no stack to fuse over; fall back per item.
-        out = []
-        for img in images:
-            data = encode_jpeg(img, quality=quality, subsampling=subsampling)
-            out.append((data, decode_jpeg(data, options)))
-        return out
-
-    luma_q, chroma_q = quality_scaled_tables(quality)
-
-    rgb255 = np.stack([img.to_uint8() for img in images]).astype(np.float64)
-    ycc = np.asarray(rgb_to_ycbcr(rgb255 / 255.0), dtype=np.float64)
-    y_planes = ycc[..., 0] * 255.0
-    cb_planes = ycc[..., 1] * 255.0 + 128.0
-    cr_planes = ycc[..., 2] * 255.0 + 128.0
-
-    n = len(images)
-    height, width = y_planes.shape[1], y_planes.shape[2]
-    if subsampling == "4:2:0":
-        mcu = 16
-        y_pad = _pad_planes_batch(y_planes, mcu)
-        cb_small = _subsample_420_batch(_pad_planes_batch(cb_planes, 2))
-        cr_small = _subsample_420_batch(_pad_planes_batch(cr_planes, 2))
-        cb_pad = _pad_planes_batch(cb_small, 8)
-        cr_pad = _pad_planes_batch(cr_small, 8)
-        h_samp, v_samp = 2, 2
-    else:
-        mcu = 8
-        y_pad = _pad_planes_batch(y_planes, mcu)
-        cb_pad = _pad_planes_batch(cb_planes, 8)
-        cr_pad = _pad_planes_batch(cr_planes, 8)
-        h_samp, v_samp = 1, 1
-
-    y_blocks = _planes_to_quantized_blocks_batch(y_pad, luma_q)
-    cb_blocks = _planes_to_quantized_blocks_batch(cb_pad, chroma_q)
-    cr_blocks = _planes_to_quantized_blocks_batch(cr_pad, chroma_q)
-
-    mcu_rows = y_pad.shape[1] // mcu
-    mcu_cols = y_pad.shape[2] // mcu
-    samplings = ((h_samp, v_samp), (1, 1), (1, 1))
-    comp_of_unit, block_of_unit = kernels.scan_layout(mcu_rows, mcu_cols, samplings)
-
-    sof = struct.pack(
-        ">BHHB", 8, height, width, 3
-    ) + bytes(
-        [
-            1, (h_samp << 4) | v_samp, 0,  # Y
-            2, 0x11, 1,  # Cb
-            3, 0x11, 1,  # Cr
+        # Mixed geometry: no stack to fuse over; one batch per image.
+        return [
+            pair
+            for img in images
+            for pair in jpeg_roundtrip_batch([img], quality, subsampling, options)
         ]
-    )
-    sos = bytes([3, 1, 0x00, 2, 0x11, 3, 0x11, 0, 63, 0])
-    header = bytearray()
-    header += b"\xff\xd8"  # SOI
-    header += _APP0_JFIF
-    header += _dqt_segment(0, luma_q)
-    header += _dqt_segment(1, chroma_q)
-    header += _segment(0xC0, sof)
-    header += _dht_segment(0, 0, STD_DC_LUMA)
-    header += _dht_segment(1, 0, STD_AC_LUMA)
-    header += _dht_segment(0, 1, STD_DC_CHROMA)
-    header += _dht_segment(1, 1, STD_AC_CHROMA)
-    header += _segment(0xDA, sos)
-    header = bytes(header)
-
-    datas: List[bytes] = []
-    for i in range(n):
-        entropy = kernels.encode_jpeg_scan(
-            (y_blocks[i], cb_blocks[i], cr_blocks[i]),
-            comp_of_unit,
-            block_of_unit,
-            (STD_DC_LUMA, STD_DC_CHROMA, STD_DC_CHROMA),
-            (STD_AC_LUMA, STD_AC_CHROMA, STD_AC_CHROMA),
-        )
-        datas.append(header + entropy + b"\xff\xd9")
-
-    # Reconstruct from the encoder's own quantized blocks: the decoder's
-    # SOF-derived padded dims equal the encoder's padded dims, and its
-    # parsed DQT tables roundtrip exactly (values <= 255).
-    y_rec = _quantized_blocks_to_planes_batch(
-        y_blocks, luma_q, y_pad.shape[1], y_pad.shape[2], options.idct
-    )
-    cb_rec = _quantized_blocks_to_planes_batch(
-        cb_blocks, chroma_q, cb_pad.shape[1], cb_pad.shape[2], options.idct
-    )
-    cr_rec = _quantized_blocks_to_planes_batch(
-        cr_blocks, chroma_q, cr_pad.shape[1], cr_pad.shape[2], options.idct
-    )
-    if subsampling == "4:2:0":
-        upsample = (
-            _upsample_2x_bilinear_batch
-            if options.chroma_upsample == "bilinear"
-            else _upsample_2x_nearest_batch
-        )
-        cb_rec = upsample(cb_rec)
-        cr_rec = upsample(cr_rec)
-
-    y_rec = y_rec[:, :height, :width]
-    cb_rec = cb_rec[:, :height, :width]
-    cr_rec = cr_rec[:, :height, :width]
-
-    ycc_rec = np.stack(
-        [y_rec / 255.0, (cb_rec - 128.0) / 255.0, (cr_rec - 128.0) / 255.0],
-        axis=-1,
-    )
-    rgb = ycbcr_to_rgb(ycc_rec) * 255.0
-    rgb = np.clip(rgb, 0.0, 255.0)
-    if options.rounding == "round":
-        rgb8 = np.floor(rgb + 0.5).astype(np.uint8)
-    else:
-        rgb8 = rgb.astype(np.uint8)  # truncation
-    return [(datas[i], ImageBuffer.from_uint8(rgb8[i])) for i in range(n)]
+    coded = _front_end(images, quality, subsampling)
+    rgb8 = _back_end(coded, options)
+    return [
+        (data, ImageBuffer.from_uint8(rgb8[i]))
+        for i, data in enumerate(_write_files(coded))
+    ]

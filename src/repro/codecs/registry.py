@@ -20,7 +20,15 @@ from .jpeg import JpegDecodeOptions, decode_jpeg, encode_jpeg
 from .png import decode_png, encode_png
 from .webp import decode_webp, encode_webp
 
-__all__ = ["Codec", "get_codec", "available_codecs", "register_codec", "sniff_format", "decode_any"]
+__all__ = [
+    "Codec",
+    "get_codec",
+    "available_codecs",
+    "register_codec",
+    "record_codec_bytes",
+    "sniff_format",
+    "decode_any",
+]
 
 
 @dataclass(frozen=True)
@@ -48,6 +56,28 @@ class Codec:
 _REGISTRY: Dict[str, Codec] = {}  # lint: disable=PROC001
 
 
+def record_codec_bytes(
+    name: str, data: bytes, encoded: bool = False, decoded: bool = False
+) -> None:
+    """Emit the ``codec.*`` metrics for one file the named codec wrote
+    and/or read back (a no-op when no observer is active).
+
+    The single source of codec accounting: the registry's wrappers call
+    it per encode or decode, and fused paths that encode and reconstruct
+    without the wrappers (``jpeg_roundtrip_batch``) call it per file with
+    both flags, so the counters cannot drift between the two.
+    """
+    ob = obs.active()
+    if ob is None:
+        return
+    if encoded:
+        ob.metrics.count("codec.bytes_encoded", len(data))
+        ob.metrics.count(f"codec.encoded.{name}")
+        ob.metrics.observe("codec.encoded_size", len(data))
+    if decoded:
+        ob.metrics.count("codec.bytes_decoded", len(data))
+
+
 def _instrumented(codec: Codec) -> Codec:
     """Wrap a codec's callables with tracing spans and byte counters.
 
@@ -67,9 +97,7 @@ def _instrumented(codec: Codec) -> Codec:
             return encode_fn(image, **params)
         with ob.tracer.span("codec.encode", codec=codec.name):
             data = encode_fn(image, **params)
-        ob.metrics.count("codec.bytes_encoded", len(data))
-        ob.metrics.count(f"codec.encoded.{codec.name}")
-        ob.metrics.observe("codec.encoded_size", len(data))
+        record_codec_bytes(codec.name, data, encoded=True)
         return data
 
     @functools.wraps(decode_fn)
@@ -79,7 +107,7 @@ def _instrumented(codec: Codec) -> Codec:
             return decode_fn(data)
         with ob.tracer.span("codec.decode", codec=codec.name):
             image = decode_fn(data)
-        ob.metrics.count("codec.bytes_decoded", len(data))
+        record_codec_bytes(codec.name, data, decoded=True)
         return image
 
     encode._obs_instrumented = True

@@ -53,25 +53,25 @@ class Phone:
     # ------------------------------------------------------------------
     def capture_raw(self, radiance: ImageBuffer, rng: np.random.Generator) -> RawImage:
         """Expose one frame; returns the sensor's raw mosaic."""
-        return self.sensor.capture(radiance, rng)
+        return self.capture_raw_batch(radiance, [rng])[0]
 
     def capture_raw_batch(
         self, radiance: ImageBuffer, rngs: Sequence[np.random.Generator]
     ) -> List[RawImage]:
         """Expose ``len(rngs)`` repeat frames in one vectorized pass.
 
-        Frame ``i`` is bit-identical to ``capture_raw(radiance, rngs[i])``.
+        Frame ``i`` depends on ``rngs[i]`` alone.
         """
         return self.sensor.capture_batch(radiance, rngs)
 
     def develop(self, raw: RawImage) -> ImageBuffer:
         """Run a raw capture through this phone's vendor ISP."""
-        return self.isp.process(raw)
+        return self.develop_batch([raw])[0]
 
     def develop_batch(self, raws: Sequence[RawImage]) -> List[ImageBuffer]:
         """Develop a batch through the vendor ISP in one vectorized pass.
 
-        Item ``i`` is bit-identical to ``develop(raws[i])``.
+        Item ``i`` depends on ``raws[i]`` alone.
         """
         return self.isp.process_batch(raws)
 

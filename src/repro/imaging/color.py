@@ -8,8 +8,6 @@ gamma.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from ..lint.contracts import tensor_contract
@@ -24,7 +22,6 @@ __all__ = [
     "srgb_decode",
     "gray_world_gains",
     "gray_world_gains_batch",
-    "apply_wb_gains",
     "apply_wb_gains_batch",
     "luminance",
 ]
@@ -146,15 +143,6 @@ def gray_world_gains(rgb: np.ndarray) -> np.ndarray:
     return gains.astype(np.float32)
 
 
-@tensor_contract("* float32, _ -> * float32")
-def apply_wb_gains(rgb: np.ndarray, gains: Sequence[float]) -> np.ndarray:
-    """Multiply each channel by its white-balance gain."""
-    gains_arr = np.asarray(gains, dtype=np.float32)
-    if gains_arr.shape != (3,):
-        raise ValueError(f"expected 3 gains, got shape {gains_arr.shape}")
-    return np.asarray(rgb, dtype=np.float32) * gains_arr
-
-
 def gray_world_gains_batch(rgb: np.ndarray) -> np.ndarray:
     """Per-item :func:`gray_world_gains` over an ``(N, H, W, 3)`` stack.
 
@@ -171,7 +159,8 @@ def gray_world_gains_batch(rgb: np.ndarray) -> np.ndarray:
 
 @tensor_contract("(N, ?, ?, ?) float32, (N, 3) float32 -> (N, ?, ?, ?) float32")
 def apply_wb_gains_batch(rgb: np.ndarray, gains: np.ndarray) -> np.ndarray:
-    """Per-item white-balance gains over an ``(N, H, W, 3)`` stack."""
+    """Multiply each channel of each item of an ``(N, H, W, 3)`` stack by
+    that item's white-balance gain (``gains`` is ``(N, 3)``)."""
     gains = np.asarray(gains, dtype=np.float32)
     rgb = np.asarray(rgb, dtype=np.float32)
     if gains.ndim != 2 or gains.shape != (rgb.shape[0], 3):

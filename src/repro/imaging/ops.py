@@ -1,7 +1,10 @@
 """Low-level spatial image operations shared by scenes, ISP, and devices.
 
 Everything here works on bare float32 arrays — either ``(H, W)`` planes or
-``(H, W, 3)`` RGB stacks — and is vectorized with NumPy / SciPy.
+``(H, W, 3)`` RGB stacks — and is vectorized with NumPy / SciPy. The
+resize, blur and unsharp-mask ops have one body each, written over an
+``(N, H, W, C)`` stack (the ``*_batch`` names, which the ISP calls); the
+single-image names run a batch of one.
 """
 
 from __future__ import annotations
@@ -19,13 +22,20 @@ __all__ = [
     "gaussian_kernel1d",
     "gaussian_blur",
     "gaussian_blur_batch",
-    "gaussian_blur_planes_batch",
     "box_blur",
     "unsharp_mask",
     "unsharp_mask_batch",
     "affine_warp",
     "perspective_shift",
 ]
+
+
+def _one(batch_op, image: np.ndarray, *args) -> np.ndarray:
+    """Run an ``(N, H, W, C)`` batch op on one ``(H, W)`` or ``(H, W, C)`` image."""
+    image = np.asarray(image, dtype=np.float32)
+    if image.ndim == 2:
+        return batch_op(image[None, :, :, None], *args)[0, :, :, 0]
+    return batch_op(image[None], *args)[0]
 
 
 @tensor_contract("* float32, _, _ -> * float32")
@@ -35,49 +45,17 @@ def bilinear_resize(image: np.ndarray, height: int, width: int) -> np.ndarray:
     Uses the half-pixel-center convention (align_corners=False), matching
     common image libraries.
     """
-    image = np.asarray(image, dtype=np.float32)
-    if height <= 0 or width <= 0:
-        raise ValueError("target size must be positive")
-    src_h, src_w = image.shape[:2]
-    if (src_h, src_w) == (height, width):
-        return image.copy()
-
-    ys = (np.arange(height, dtype=np.float32) + 0.5) * (src_h / height) - 0.5
-    xs = (np.arange(width, dtype=np.float32) + 0.5) * (src_w / width) - 0.5
-    ys = np.clip(ys, 0.0, src_h - 1.0)
-    xs = np.clip(xs, 0.0, src_w - 1.0)
-
-    y0 = np.floor(ys).astype(np.int64)
-    x0 = np.floor(xs).astype(np.int64)
-    y1 = np.minimum(y0 + 1, src_h - 1)
-    x1 = np.minimum(x0 + 1, src_w - 1)
-    wy = (ys - y0).astype(np.float32)
-    wx = (xs - x0).astype(np.float32)
-
-    if image.ndim == 2:
-        flat = image
-        gather = lambda yy, xx: flat[yy[:, None], xx[None, :]]  # noqa: E731
-        wy_b = wy[:, None]
-        wx_b = wx[None, :]
-    else:
-        flat = image
-        gather = lambda yy, xx: flat[yy[:, None], xx[None, :], :]  # noqa: E731
-        wy_b = wy[:, None, None]
-        wx_b = wx[None, :, None]
-
-    top = gather(y0, x0) * (1 - wx_b) + gather(y0, x1) * wx_b
-    bot = gather(y1, x0) * (1 - wx_b) + gather(y1, x1) * wx_b
-    return (top * (1 - wy_b) + bot * wy_b).astype(np.float32)
+    return _one(bilinear_resize_batch, image, height, width)
 
 
 @tensor_contract("(N, ?, ?, ?) float32, _, _ -> (N, ?, ?, ?) float32")
 def bilinear_resize_batch(images: np.ndarray, height: int, width: int) -> np.ndarray:
-    """Batched :func:`bilinear_resize` over an ``(N, H, W, C)`` stack.
+    """:func:`bilinear_resize` over an ``(N, H, W, C)`` stack.
 
-    Item ``i`` of the result is bit-identical to
-    ``bilinear_resize(images[i], height, width)``: the sample grid and
-    interpolation weights depend only on the geometry, so they are shared,
-    and the gather + lerp arithmetic is elementwise per item.
+    The sample grid and interpolation weights depend only on the
+    geometry, so they are shared by every item, and the gather + lerp
+    arithmetic is elementwise per item: item ``i`` never depends on any
+    other item.
     """
     images = np.asarray(images, dtype=np.float32)
     if images.ndim != 4:
@@ -151,39 +129,20 @@ def gaussian_kernel1d(sigma: float, radius: int | None = None) -> np.ndarray:
 @tensor_contract("* float32, _ -> * float32")
 def gaussian_blur(image: np.ndarray, sigma: float) -> np.ndarray:
     """Separable Gaussian blur on an ``(H, W)`` or ``(H, W, C)`` image."""
-    if sigma <= 0:
-        return np.asarray(image, dtype=np.float32).copy()
-    image = np.asarray(image, dtype=np.float32)
-    axes = (0, 1)
-    out = image
-    for axis in axes:
-        out = ndimage.gaussian_filter1d(out, sigma=sigma, axis=axis, mode="nearest")
-    return out.astype(np.float32)
+    return _one(gaussian_blur_batch, image, sigma)
 
 
 @tensor_contract("(N, ?, ?, ?) float32, _ -> (N, ?, ?, ?) float32")
 def gaussian_blur_batch(images: np.ndarray, sigma: float) -> np.ndarray:
-    """Batched :func:`gaussian_blur` over an ``(N, H, W, C)`` stack.
+    """:func:`gaussian_blur` over an ``(N, H, W, C)`` stack.
 
     ``gaussian_filter1d`` runs the same 1-D correlation along each
-    spatial line regardless of how many leading batch dims surround it,
-    so filtering axes ``(1, 2)`` here is bit-identical to filtering axes
-    ``(0, 1)`` of each item separately.
+    spatial line regardless of how many other axes surround it, so
+    filtering axes ``(1, 2)`` never mixes items or channels.
     """
     if sigma <= 0:
         return np.asarray(images, dtype=np.float32).copy()
     out = np.asarray(images, dtype=np.float32)
-    for axis in (1, 2):
-        out = ndimage.gaussian_filter1d(out, sigma=sigma, axis=axis, mode="nearest")
-    return out.astype(np.float32)
-
-
-@tensor_contract("(N, ?, ?) float32, _ -> (N, ?, ?) float32")
-def gaussian_blur_planes_batch(planes: np.ndarray, sigma: float) -> np.ndarray:
-    """Batched :func:`gaussian_blur` over an ``(N, H, W)`` plane stack."""
-    if sigma <= 0:
-        return np.asarray(planes, dtype=np.float32).copy()
-    out = np.asarray(planes, dtype=np.float32)
     for axis in (1, 2):
         out = ndimage.gaussian_filter1d(out, sigma=sigma, axis=axis, mode="nearest")
     return out.astype(np.float32)
@@ -203,14 +162,12 @@ def box_blur(image: np.ndarray, size: int) -> np.ndarray:
 
 def unsharp_mask(image: np.ndarray, sigma: float, amount: float) -> np.ndarray:
     """Classic unsharp masking: ``img + amount * (img - blur(img))``."""
-    image = np.asarray(image, dtype=np.float32)
-    blurred = gaussian_blur(image, sigma)
-    return image + np.float32(amount) * (image - blurred)
+    return _one(unsharp_mask_batch, image, sigma, amount)
 
 
 @tensor_contract("(N, ?, ?, ?) float32, _, _ -> (N, ?, ?, ?) float32")
 def unsharp_mask_batch(images: np.ndarray, sigma: float, amount: float) -> np.ndarray:
-    """Batched :func:`unsharp_mask` over an ``(N, H, W, C)`` stack."""
+    """:func:`unsharp_mask` over an ``(N, H, W, C)`` stack."""
     images = np.asarray(images, dtype=np.float32)
     blurred = gaussian_blur_batch(images, sigma)
     return images + np.float32(amount) * (images - blurred)

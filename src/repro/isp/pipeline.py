@@ -1,8 +1,9 @@
 """The ISP pipeline: an ordered chain of stages with tap points.
 
-``ISPPipeline.process(raw)`` runs a :class:`~repro.imaging.image.RawImage`
-through every stage and returns the finished
-:class:`~repro.imaging.image.ImageBuffer`. ``process_with_taps`` also
+``ISPPipeline.process_batch(raws)`` runs a batch of
+:class:`~repro.imaging.image.RawImage` captures through every stage and
+returns the finished :class:`~repro.imaging.image.ImageBuffer` images;
+``process(raw)`` is a batch of one. ``process_with_taps`` also
 returns the intermediate image after each stage, which the tests and the
 ablation benchmarks use to attribute instability to individual stages
 (in the spirit of Buckler et al. 2017, which the paper builds on).
@@ -12,11 +13,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-import numpy as np
-
 from .. import obs
 from ..imaging.image import ImageBuffer, RawImage
-from .stages import BatchISPState, BlackLevelCorrection, Demosaic, ISPStage, ISPState
+from .stages import BlackLevelCorrection, Demosaic, ISPStage, ISPState
 
 __all__ = ["ISPPipeline"]
 
@@ -42,50 +41,37 @@ class ISPPipeline:
         self.name = name
 
     def process(self, raw: RawImage) -> ImageBuffer:
-        """Run the raw capture through every stage.
-
-        Each stage executes inside its own ``isp.<stage>`` tracing span
-        (annotated with the pipeline name) when observability is active,
-        so traces attribute develop time stage by stage.
-        """
-        with obs.span("isp.process", pipeline=self.name):
-            state = ISPState(raw=raw, mosaic=raw.mosaic.astype("float32").copy())
-            for stage in self.stages:
-                with obs.span(f"isp.{stage.name}", pipeline=self.name):
-                    state = stage.process(state)
-            return ImageBuffer(state.require_rgb()).clipped()
+        """Run one raw capture through every stage (a batch of one)."""
+        return self.process_batch([raw])[0]
 
     def process_batch(self, raws: Sequence[RawImage]) -> List[ImageBuffer]:
         """Develop a batch of raw captures in one vectorized pass.
 
-        Item ``i`` of the result is bit-identical to ``process(raws[i])``:
-        every stage's ``process_batch`` either vectorizes over the leading
-        batch axis with elementwise-equivalent arithmetic or falls back to
-        a per-item loop.
+        Each stage executes inside its own ``isp.<stage>`` tracing span
+        (annotated with the pipeline name) when observability is active,
+        so traces attribute develop time stage by stage. Item ``i`` of the
+        result depends on ``raws[i]`` alone (see :class:`ISPState`).
         """
         raws = list(raws)
         if not raws:
             return []
         with obs.span("isp.process_batch", pipeline=self.name, items=len(raws)):
-            state = BatchISPState(
-                raws=raws,
-                mosaic=np.stack([raw.mosaic.astype("float32") for raw in raws]),
-            )
+            state = ISPState.from_raws(raws)
             for stage in self.stages:
                 with obs.span(f"isp.{stage.name}", pipeline=self.name):
-                    state = stage.process_batch(state)
+                    state = stage.process(state)
             rgb = state.require_rgb()
             return [ImageBuffer(rgb[i]).clipped() for i in range(len(raws))]
 
     def process_with_taps(self, raw: RawImage) -> Tuple[ImageBuffer, Dict[str, ImageBuffer]]:
         """Run the pipeline, also returning the image after each RGB stage."""
-        state = ISPState(raw=raw, mosaic=raw.mosaic.astype("float32").copy())
+        state = ISPState.from_raws([raw])
         taps: Dict[str, ImageBuffer] = {}
         for i, stage in enumerate(self.stages):
             state = stage.process(state)
             if state.rgb is not None:
-                taps[f"{i:02d}:{stage.name}"] = ImageBuffer(state.rgb.copy()).clipped()
-        return ImageBuffer(state.require_rgb()).clipped(), taps
+                taps[f"{i:02d}:{stage.name}"] = ImageBuffer(state.rgb[0].copy()).clipped()
+        return ImageBuffer(state.require_rgb()[0]).clipped(), taps
 
     def stage_names(self) -> List[str]:
         return [s.name for s in self.stages]

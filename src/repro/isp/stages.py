@@ -3,8 +3,8 @@
 An image signal processor turns raw sensor data into a display-referred
 image through a sequence of stages (paper §6 lists the common ones:
 color correction, lens correction, demosaicing, noise reduction). Each
-stage here transforms an :class:`ISPState`; :mod:`repro.isp.pipeline`
-chains them.
+stage here transforms an :class:`ISPState` — always a batch, with one
+capture as a batch of one — and :mod:`repro.isp.pipeline` chains them.
 
 Stage parameterization is the mechanism for modeling *different vendors'
 ISPs*: the same stage classes with different parameters (demosaic
@@ -17,33 +17,23 @@ identical raw input, which the paper measures as 14.11% instability
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 from scipy import ndimage
 
 from ..imaging.color import (
     apply_color_matrix,
-    apply_wb_gains,
     apply_wb_gains_batch,
-    gray_world_gains,
     gray_world_gains_batch,
     srgb_encode,
 )
 from ..imaging.image import BAYER_PATTERNS, RawImage
-from ..imaging.ops import (
-    bilinear_resize,
-    bilinear_resize_batch,
-    gaussian_blur,
-    gaussian_blur_planes_batch,
-    unsharp_mask,
-    unsharp_mask_batch,
-)
+from ..imaging.ops import bilinear_resize_batch, gaussian_blur_batch, unsharp_mask_batch
 from ..lint.contracts import tensor_contract
 
 __all__ = [
     "ISPState",
-    "BatchISPState",
     "ISPStage",
     "BlackLevelCorrection",
     "Demosaic",
@@ -59,41 +49,26 @@ __all__ = [
 
 @dataclass
 class ISPState:
-    """Data flowing through the pipeline.
+    """A batch of raw captures flowing through the pipeline together.
 
-    Starts with ``mosaic`` set (and ``rgb`` None); the demosaic stage
-    populates ``rgb`` and later stages refine it. ``raw`` keeps the
-    original capture's calibration metadata accessible to all stages.
-    """
-
-    raw: RawImage
-    mosaic: Optional[np.ndarray] = None
-    rgb: Optional[np.ndarray] = None
-
-    def require_mosaic(self) -> np.ndarray:
-        if self.mosaic is None:
-            raise RuntimeError("stage requires mosaic-domain data (before demosaic)")
-        return self.mosaic
-
-    def require_rgb(self) -> np.ndarray:
-        if self.rgb is None:
-            raise RuntimeError("stage requires RGB-domain data (after demosaic)")
-        return self.rgb
-
-
-@dataclass
-class BatchISPState:
-    """A batch of :class:`ISPState` flowing through the pipeline together.
-
-    ``mosaic`` is ``(N, H, W)`` and ``rgb`` is ``(N, H, W, 3)``; ``raws``
-    keeps each item's calibration metadata. The batch invariant every
-    stage upholds: item ``i`` of the batch is bit-identical to running
-    the same stage on ``split()[i]`` alone.
+    Starts with ``mosaic`` set to the ``(N, H, W)`` stack of raw mosaics
+    (and ``rgb`` None); the demosaic stage populates ``rgb`` as
+    ``(N, H, W, 3)`` and later stages refine it. ``raws`` keeps each
+    item's calibration metadata, which may differ between items (black
+    level, Bayer pattern, as-shot gains): stages read it as per-item
+    parameters broadcast over the batch axis. One capture is a batch of
+    one. The invariant every stage upholds: item ``i`` of the output
+    depends on item ``i`` of the input alone.
     """
 
     raws: List[RawImage]
     mosaic: Optional[np.ndarray] = None
     rgb: Optional[np.ndarray] = None
+
+    @classmethod
+    def from_raws(cls, raws: Sequence[RawImage]) -> "ISPState":
+        raws = list(raws)
+        return cls(raws=raws, mosaic=np.stack([raw.mosaic.astype(np.float32) for raw in raws]))
 
     def __len__(self) -> int:
         return len(self.raws)
@@ -108,53 +83,27 @@ class BatchISPState:
             raise RuntimeError("stage requires RGB-domain data (after demosaic)")
         return self.rgb
 
-    def split(self) -> List[ISPState]:
-        """Per-item views (for stages without a vectorized path)."""
-        return [
-            ISPState(
-                raw=raw,
-                mosaic=None if self.mosaic is None else self.mosaic[i],
-                rgb=None if self.rgb is None else self.rgb[i],
-            )
-            for i, raw in enumerate(self.raws)
-        ]
-
-    @classmethod
-    def join(cls, items: List[ISPState]) -> "BatchISPState":
-        """Restack per-item states produced by a split-and-loop stage."""
-        mosaic = None
-        if all(s.mosaic is not None for s in items):
-            mosaic = np.stack([s.mosaic for s in items])
-        rgb = None
-        if all(s.rgb is not None for s in items):
-            rgb = np.stack([s.rgb for s in items])
-        return cls(raws=[s.raw for s in items], mosaic=mosaic, rgb=rgb)
+    def per_item(self, values: Sequence[float]) -> np.ndarray:
+        """One float32 scalar per item, shaped ``(N, 1, 1)`` to broadcast
+        over the mosaic stack (a Python float meets a float32 array as
+        float32 too, so this is the single-capture arithmetic)."""
+        return np.asarray(values, dtype=np.float32).reshape(-1, 1, 1)
 
 
 class ISPStage:
-    """Base class: stages implement ``process`` and are stateless."""
+    """Base class: stages transform an :class:`ISPState` and are stateless.
+
+    A stage implements ``process(state)`` over the whole batch. The
+    built-in stages also bind ``process_batch`` to the same body, the
+    name the per-layer benchmark ledger (``perfbench/layers.py``) times.
+    """
 
     def process(self, state: ISPState) -> ISPState:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def process_batch(self, state: BatchISPState) -> BatchISPState:
-        """Batched ``process``; bit-identical to the per-item path.
-
-        The default splits the batch and loops — trivially identical —
-        so custom stages stay correct; the built-in stages override this
-        with vectorized implementations.
-        """
-        return BatchISPState.join([self.process(s) for s in state.split()])
-
     @property
     def name(self) -> str:
         return type(self).__name__
-
-
-@tensor_contract("(N, ?, ?) float32, _, _ -> (N, ?, ?) float32")
-def _black_level_batch(mosaic: np.ndarray, black_level: float, span: float) -> np.ndarray:
-    """Elementwise pedestal removal over an ``(N, H, W)`` mosaic stack."""
-    return np.clip((mosaic - black_level) / span, 0.0, 1.0)
 
 
 @dataclass
@@ -163,54 +112,43 @@ class BlackLevelCorrection(ISPStage):
 
     def process(self, state: ISPState) -> ISPState:
         mosaic = state.require_mosaic()
-        raw = state.raw
-        span = raw.white_level - raw.black_level
-        state.mosaic = np.clip((mosaic - raw.black_level) / span, 0.0, 1.0)
+        black = state.per_item([raw.black_level for raw in state.raws])
+        span = state.per_item([raw.white_level - raw.black_level for raw in state.raws])
+        state.mosaic = np.clip((mosaic - black) / span, 0.0, 1.0)
         return state
 
-    def process_batch(self, state: BatchISPState) -> BatchISPState:
-        calib = {(r.black_level, r.white_level) for r in state.raws}
-        if len(calib) != 1:
-            return super().process_batch(state)
-        raw = state.raws[0]
-        span = raw.white_level - raw.black_level
-        state.mosaic = _black_level_batch(state.require_mosaic(), raw.black_level, span)
-        return state
+    process_batch = process
 
 
-@tensor_contract("(H, W) float32, _ -> (H, W, 3) float32")
-def _bilinear_demosaic(mosaic: np.ndarray, pattern: str) -> np.ndarray:
-    """Normalized-convolution bilinear demosaic."""
-    h, w = mosaic.shape
-    cell = BAYER_PATTERNS[pattern]
-    channel_map = np.tile(cell, (h // 2, w // 2))
-    kernel = np.array([[0.25, 0.5, 0.25], [0.5, 1.0, 0.5], [0.25, 0.5, 0.25]])
-    rgb = np.empty((h, w, 3), dtype=np.float32)
-    for c in range(3):
-        mask = (channel_map == c).astype(np.float32)
-        values = ndimage.convolve(mosaic * mask, kernel, mode="mirror")
-        weights = ndimage.convolve(mask, kernel, mode="mirror")
-        rgb[..., c] = values / np.maximum(weights, 1e-8)
-    return rgb
+def _channel_maps(raws: Sequence[RawImage], height: int, width: int) -> np.ndarray:
+    """Each item's CFA channel map: ``(1, H, W)`` when the batch shares
+    one Bayer pattern (broadcast over it), else ``(N, H, W)``."""
+    patterns = [raw.pattern for raw in raws]
+    maps = {
+        pattern: np.tile(BAYER_PATTERNS[pattern], (height // 2, width // 2))
+        for pattern in dict.fromkeys(patterns)
+    }
+    if len(maps) == 1:
+        return maps[patterns[0]][None]
+    return np.stack([maps[pattern] for pattern in patterns])
+
+
+_BILINEAR_KERNEL = np.array([[[0.25, 0.5, 0.25], [0.5, 1.0, 0.5], [0.25, 0.5, 0.25]]])
 
 
 @tensor_contract("(N, ?, ?) float32, _ -> (N, ?, ?, ?) float32")
-def _bilinear_demosaic_batch(mosaic: np.ndarray, pattern: str) -> np.ndarray:
-    """Batched :func:`_bilinear_demosaic` over ``(N, H, W)`` mosaics.
+def _bilinear_demosaic(mosaic: np.ndarray, channel_map: np.ndarray) -> np.ndarray:
+    """Normalized-convolution bilinear demosaic of ``(N, H, W)`` mosaics.
 
-    A ``(1, k, k)`` kernel makes ``ndimage.convolve`` filter each item's
-    spatial plane independently (the batch axis never mixes), so each
-    output item is bit-identical to the per-item convolution.
+    The ``(1, 3, 3)`` kernel filters each item's spatial plane on its
+    own: the batch axis never mixes.
     """
     n, h, w = mosaic.shape
-    cell = BAYER_PATTERNS[pattern]
-    channel_map = np.tile(cell, (h // 2, w // 2))
-    kernel = np.array([[0.25, 0.5, 0.25], [0.5, 1.0, 0.5], [0.25, 0.5, 0.25]])
     rgb = np.empty((n, h, w, 3), dtype=np.float32)
     for c in range(3):
         mask = (channel_map == c).astype(np.float32)
-        values = ndimage.convolve(mosaic * mask, kernel[None], mode="mirror")
-        weights = ndimage.convolve(mask, kernel, mode="mirror")
+        values = ndimage.convolve(mosaic * mask, _BILINEAR_KERNEL, mode="mirror")
+        weights = ndimage.convolve(mask, _BILINEAR_KERNEL, mode="mirror")
         rgb[..., c] = values / np.maximum(weights, 1e-8)
     return rgb
 
@@ -252,51 +190,16 @@ _MALVAR_RB_AT_OPPOSITE = np.array(
 ) / 8.0
 
 
-@tensor_contract("(H, W) float32, _ -> (H, W, 3) float32")
-def _malvar_demosaic(mosaic: np.ndarray, pattern: str) -> np.ndarray:
+@tensor_contract("(N, ?, ?) float32, _ -> (N, ?, ?, ?) float32")
+def _malvar_demosaic(mosaic: np.ndarray, channel_map: np.ndarray) -> np.ndarray:
     """Malvar-He-Cutler gradient-corrected linear demosaic.
 
     Sharper than bilinear with characteristic edge behaviour — exactly the
     kind of algorithmic choice that distinguishes one vendor ISP from
-    another.
+    another. Works on ``(N, H, W)`` mosaics; each ``(1, 5, 5)`` kernel
+    filters one item's plane at a time.
     """
-    h, w = mosaic.shape
-    cell = BAYER_PATTERNS[pattern]
-    channel_map = np.tile(cell, (h // 2, w // 2))
-    m = mosaic.astype(np.float64)
-
-    conv = lambda kern: ndimage.convolve(m, kern, mode="mirror")  # noqa: E731
-    g_at_rb = conv(_MALVAR_G_AT_RB)
-    rb_same_row = conv(_MALVAR_RB_AT_G_SAME_ROW)
-    rb_same_col = conv(_MALVAR_RB_AT_G_SAME_COL)
-    rb_opposite = conv(_MALVAR_RB_AT_OPPOSITE)
-
-    is_r = channel_map == 0
-    is_g = channel_map == 1
-    is_b = channel_map == 2
-
-    # Row kind: does this row contain red photosites?
-    rows_with_r = is_r.any(axis=1)[:, None] & np.ones((1, w), dtype=bool)
-
-    rgb = np.empty((h, w, 3), dtype=np.float64)
-    # Green: native at G, interpolated at R and B.
-    rgb[..., 1] = np.where(is_g, m, g_at_rb)
-    # Red.
-    r_at_g = np.where(rows_with_r, rb_same_row, rb_same_col)
-    rgb[..., 0] = np.where(is_r, m, np.where(is_g, r_at_g, rb_opposite))
-    # Blue (mirror of red: blue rows are the non-red rows).
-    b_at_g = np.where(rows_with_r, rb_same_col, rb_same_row)
-    rgb[..., 2] = np.where(is_b, m, np.where(is_g, b_at_g, rb_opposite))
-
-    return np.clip(rgb, 0.0, 1.0).astype(np.float32)
-
-
-@tensor_contract("(N, ?, ?) float32, _ -> (N, ?, ?, ?) float32")
-def _malvar_demosaic_batch(mosaic: np.ndarray, pattern: str) -> np.ndarray:
-    """Batched :func:`_malvar_demosaic` over ``(N, H, W)`` mosaics."""
-    n, h, w = mosaic.shape
-    cell = BAYER_PATTERNS[pattern]
-    channel_map = np.tile(cell, (h // 2, w // 2))
+    w = mosaic.shape[2]
     m = mosaic.astype(np.float64)
 
     conv = lambda kern: ndimage.convolve(m, kern[None], mode="mirror")  # noqa: E731
@@ -308,12 +211,17 @@ def _malvar_demosaic_batch(mosaic: np.ndarray, pattern: str) -> np.ndarray:
     is_r = channel_map == 0
     is_g = channel_map == 1
     is_b = channel_map == 2
-    rows_with_r = is_r.any(axis=1)[:, None] & np.ones((1, w), dtype=bool)
 
-    rgb = np.empty((n, h, w, 3), dtype=np.float64)
+    # Row kind: does this row contain red photosites?
+    rows_with_r = is_r.any(axis=2)[:, :, None] & np.ones((1, 1, w), dtype=bool)
+
+    rgb = np.empty(m.shape + (3,), dtype=np.float64)
+    # Green: native at G, interpolated at R and B.
     rgb[..., 1] = np.where(is_g, m, g_at_rb)
+    # Red.
     r_at_g = np.where(rows_with_r, rb_same_row, rb_same_col)
     rgb[..., 0] = np.where(is_r, m, np.where(is_g, r_at_g, rb_opposite))
+    # Blue (mirror of red: blue rows are the non-red rows).
     b_at_g = np.where(rows_with_r, rb_same_col, rb_same_row)
     rgb[..., 2] = np.where(is_b, m, np.where(is_g, b_at_g, rb_opposite))
 
@@ -331,28 +239,17 @@ class Demosaic(ISPStage):
 
     def process(self, state: ISPState) -> ISPState:
         mosaic = state.require_mosaic()
+        channel_map = _channel_maps(state.raws, mosaic.shape[1], mosaic.shape[2])
         if self.algorithm == "bilinear":
-            state.rgb = _bilinear_demosaic(mosaic, state.raw.pattern)
+            state.rgb = _bilinear_demosaic(mosaic, channel_map)
         elif self.algorithm == "malvar":
-            state.rgb = _malvar_demosaic(mosaic, state.raw.pattern)
+            state.rgb = _malvar_demosaic(mosaic, channel_map)
         else:
             raise ValueError(f"unknown demosaic algorithm {self.algorithm!r}")
         state.mosaic = None
         return state
 
-    def process_batch(self, state: BatchISPState) -> BatchISPState:
-        if len({r.pattern for r in state.raws}) != 1:
-            return super().process_batch(state)
-        mosaic = state.require_mosaic()
-        pattern = state.raws[0].pattern
-        if self.algorithm == "bilinear":
-            state.rgb = _bilinear_demosaic_batch(mosaic, pattern)
-        elif self.algorithm == "malvar":
-            state.rgb = _malvar_demosaic_batch(mosaic, pattern)
-        else:
-            raise ValueError(f"unknown demosaic algorithm {self.algorithm!r}")
-        state.mosaic = None
-        return state
+    process_batch = process
 
 
 @dataclass
@@ -371,21 +268,7 @@ class WhiteBalance(ISPStage):
     def process(self, state: ISPState) -> ISPState:
         rgb = state.require_rgb()
         if self.source == "as_shot":
-            gains = np.asarray(state.raw.wb_gains, dtype=np.float32)
-        elif self.source == "gray_world":
-            gains = gray_world_gains(rgb)
-        else:
-            raise ValueError(f"unknown white balance source {self.source!r}")
-        blended = 1.0 + (gains - 1.0) * np.float32(self.strength)
-        state.rgb = np.clip(apply_wb_gains(rgb, blended), 0.0, 4.0)
-        return state
-
-    def process_batch(self, state: BatchISPState) -> BatchISPState:
-        rgb = state.require_rgb()
-        if self.source == "as_shot":
-            gains = np.stack(
-                [np.asarray(r.wb_gains, dtype=np.float32) for r in state.raws]
-            )
+            gains = np.asarray([raw.wb_gains for raw in state.raws], dtype=np.float32)
         elif self.source == "gray_world":
             gains = gray_world_gains_batch(rgb)
         else:
@@ -393,6 +276,8 @@ class WhiteBalance(ISPStage):
         blended = 1.0 + (gains - 1.0) * np.float32(self.strength)
         state.rgb = np.clip(apply_wb_gains_batch(rgb, blended), 0.0, 4.0)
         return state
+
+    process_batch = process
 
 
 @dataclass
@@ -407,15 +292,12 @@ class ColorCorrection(ISPStage):
     )
 
     def process(self, state: ISPState) -> ISPState:
+        # ``(..., 3) @ (3, 3).T`` maps each pixel on its own.
         rgb = state.require_rgb()
         state.rgb = np.clip(apply_color_matrix(rgb, self.matrix), 0.0, 4.0)
         return state
 
-    def process_batch(self, state: BatchISPState) -> BatchISPState:
-        # ``(..., 3) @ (3, 3).T`` batches over leading dims independently.
-        rgb = state.require_rgb()
-        state.rgb = np.clip(apply_color_matrix(rgb, self.matrix), 0.0, 4.0)
-        return state
+    process_batch = process
 
 
 @dataclass
@@ -439,15 +321,7 @@ class ToneMap(ISPStage):
         state.rgb = (1 - self.strength) * rgb + self.strength * curved
         return state
 
-    def process_batch(self, state: BatchISPState) -> BatchISPState:
-        if self.strength < 0:
-            raise ValueError("tone map strength must be non-negative")
-        rgb = np.clip(state.require_rgb(), 0.0, 1.0)
-        if self.strength == 0:
-            return state
-        curved = rgb * rgb * (3.0 - 2.0 * rgb)
-        state.rgb = (1 - self.strength) * rgb + self.strength * curved
-        return state
+    process_batch = process
 
 
 @dataclass
@@ -467,16 +341,7 @@ class GammaEncode(ISPStage):
             raise ValueError(f"unknown gamma mode {self.mode!r}")
         return state
 
-    def process_batch(self, state: BatchISPState) -> BatchISPState:
-        # Both curves are elementwise, so the stacked call is identical.
-        rgb = np.clip(state.require_rgb(), 0.0, 1.0)
-        if self.mode == "srgb":
-            state.rgb = srgb_encode(rgb)
-        elif self.mode == "power":
-            state.rgb = np.power(rgb, np.float32(1.0 / self.gamma))
-        else:
-            raise ValueError(f"unknown gamma mode {self.mode!r}")
-        return state
+    process_batch = process
 
 
 @dataclass
@@ -496,26 +361,16 @@ class Denoise(ISPStage):
 
         rgb = state.require_rgb()
         ycc = rgb_to_ycbcr(np.clip(rgb, 0.0, 1.0))
+        # The blur filters each (item, channel) plane on its own, so the
+        # two chroma planes go through one call.
         if self.luma_sigma > 0:
-            ycc[..., 0] = gaussian_blur(ycc[..., 0], self.luma_sigma)
+            ycc[..., :1] = gaussian_blur_batch(ycc[..., :1], self.luma_sigma)
         if self.chroma_sigma > 0:
-            ycc[..., 1] = gaussian_blur(ycc[..., 1], self.chroma_sigma)
-            ycc[..., 2] = gaussian_blur(ycc[..., 2], self.chroma_sigma)
+            ycc[..., 1:] = gaussian_blur_batch(ycc[..., 1:], self.chroma_sigma)
         state.rgb = np.clip(ycbcr_to_rgb(ycc), 0.0, 1.0)
         return state
 
-    def process_batch(self, state: BatchISPState) -> BatchISPState:
-        from ..imaging.color import rgb_to_ycbcr, ycbcr_to_rgb
-
-        rgb = state.require_rgb()
-        ycc = rgb_to_ycbcr(np.clip(rgb, 0.0, 1.0))
-        if self.luma_sigma > 0:
-            ycc[..., 0] = gaussian_blur_planes_batch(ycc[..., 0], self.luma_sigma)
-        if self.chroma_sigma > 0:
-            ycc[..., 1] = gaussian_blur_planes_batch(ycc[..., 1], self.chroma_sigma)
-            ycc[..., 2] = gaussian_blur_planes_batch(ycc[..., 2], self.chroma_sigma)
-        state.rgb = np.clip(ycbcr_to_rgb(ycc), 0.0, 1.0)
-        return state
+    process_batch = process
 
 
 @dataclass
@@ -529,15 +384,10 @@ class Sharpen(ISPStage):
         if self.amount < 0:
             raise ValueError("sharpen amount must be non-negative")
         rgb = state.require_rgb()
-        state.rgb = np.clip(unsharp_mask(rgb, self.sigma, self.amount), 0.0, 1.0)
-        return state
-
-    def process_batch(self, state: BatchISPState) -> BatchISPState:
-        if self.amount < 0:
-            raise ValueError("sharpen amount must be non-negative")
-        rgb = state.require_rgb()
         state.rgb = np.clip(unsharp_mask_batch(rgb, self.sigma, self.amount), 0.0, 1.0)
         return state
+
+    process_batch = process
 
 
 @dataclass
@@ -549,10 +399,7 @@ class Resize(ISPStage):
 
     def process(self, state: ISPState) -> ISPState:
         rgb = state.require_rgb()
-        state.rgb = bilinear_resize(rgb, self.height, self.width)
-        return state
-
-    def process_batch(self, state: BatchISPState) -> BatchISPState:
-        rgb = state.require_rgb()
         state.rgb = bilinear_resize_batch(rgb, self.height, self.width)
         return state
+
+    process_batch = process

@@ -18,6 +18,9 @@ from __future__ import annotations
 
 import hashlib
 import os
+import tempfile
+import zipfile
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Tuple
@@ -184,7 +187,14 @@ def _cache_dir() -> Path:
 def load_pretrained(
     config: Optional[PretrainConfig] = None, verbose: bool = False
 ) -> Model:
-    """Load the cached base model, training and caching it if absent."""
+    """Load the cached base model, training and caching it if absent.
+
+    A cache file that cannot be read (truncated by a killed writer,
+    bit-flipped, not an npz at all) is treated as a miss: the model is
+    retrained and the file rewritten. Writes go to a temporary file in
+    the same directory and are moved into place with ``os.replace``, so
+    a reader never sees a partial file.
+    """
     config = config or PretrainConfig()
     cache_dir = _cache_dir()
     cache_dir.mkdir(parents=True, exist_ok=True)
@@ -196,10 +206,28 @@ def load_pretrained(
         extra_embedding_layer=config.extra_embedding_layer,
     )
     if path.exists():
-        with np.load(path) as data:
-            model.load_state_dict({k: data[k] for k in data.files})
-        return model
+        try:
+            with np.load(path) as data:
+                model.load_state_dict({k: data[k] for k in data.files})
+            return model
+        except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile, zlib.error):
+            pass  # unreadable or mismatched cache entry: retrain and rewrite
 
     trained = train_base_model(config, verbose=verbose)
-    np.savez_compressed(path, **trained.state_dict())
+    _write_atomic(path, trained.state_dict())
     return trained
+
+
+def _write_atomic(path: Path, arrays) -> None:
+    """``np.savez_compressed`` to a same-directory temp file, then rename."""
+    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", suffix=".tmp", dir=path.parent)
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            np.savez_compressed(handle, **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except FileNotFoundError:
+            pass
+        raise

@@ -5,8 +5,10 @@ Input is what an observed run exports: a JSONL span trace
 Output is three plain-text tables in the house style of
 :mod:`repro.core.report`:
 
-* **per-stage timing** — every span name aggregated: call count, total
-  and mean wall time, p50/p95, and share of the summed stage time;
+* **per-stage timing** — every span name aggregated by *self*-time (its
+  duration minus its child spans'): call count, total, mean, p50/p95,
+  and share, plus an ``(unattributed)`` row for the time between root
+  spans that no span covers; the shares add up to 100%;
 * **per-phone timing** — spans attributed to the device that produced
   them (walking parent links up to the nearest span carrying a
   ``device`` attribute), broken down by subsystem prefix (sensor / isp /
@@ -26,6 +28,8 @@ from .trace import Span, read_jsonl
 
 __all__ = [
     "attribute_devices",
+    "self_times",
+    "unattributed_time",
     "load_metrics_json",
     "render_report",
     "stage_rows",
@@ -76,30 +80,83 @@ def attribute_devices(spans: Sequence[Span]) -> Dict[int, str]:
     return resolved
 
 
+def self_times(spans: Sequence[Span]) -> Dict[int, float]:
+    """Map span id -> its duration minus its child spans' durations.
+
+    Clamped at zero: spans absorbed from pooled workers may add up to
+    more than their parent's wall time.
+    """
+    child_total: Dict[int, float] = {}
+    for span in spans:
+        if span.parent_id is not None:
+            child_total[span.parent_id] = child_total.get(span.parent_id, 0.0) + span.duration
+    return {
+        span.span_id: max(0.0, span.duration - child_total.get(span.span_id, 0.0))
+        for span in spans
+    }
+
+
+def unattributed_time(spans: Sequence[Span]) -> float:
+    """Wall time between the first root span's start and the last one's
+    end during which no root span was open (untraced code between them).
+
+    A root span is one whose parent is not in ``spans``.
+    """
+    ids = {span.span_id for span in spans}
+    roots = sorted(
+        (span.start, span.start + span.duration)
+        for span in spans
+        if span.parent_id not in ids
+    )
+    if not roots:
+        return 0.0
+    covered = 0.0
+    cur_start, cur_end = roots[0]
+    for start, stop in roots[1:]:
+        if start > cur_end:
+            covered += cur_end - cur_start
+            cur_start, cur_end = start, stop
+        else:
+            cur_end = max(cur_end, stop)
+    covered += cur_end - cur_start
+    window = max(stop for _start, stop in roots) - roots[0][0]
+    return max(0.0, window - covered)
+
+
 def stage_rows(spans: Sequence[Span]) -> List[List[str]]:
-    """Aggregate spans by name into per-stage timing table rows."""
+    """Per-stage *self*-time rows plus an ``(unattributed)`` row.
+
+    Each span contributes its self-time (see :func:`self_times`) to its
+    name's row, so nested stages are never counted twice; time between
+    root spans that no span covers gets the ``(unattributed)`` row. The
+    share column divides by the sum of every row, so it adds up to 100%.
+    """
+    selfs = self_times(spans)
     grouped: Dict[str, List[float]] = {}
     for span in spans:
-        grouped.setdefault(span.name, []).append(span.duration)
-    totals = {
-        name: sum(durations) for name, durations in sorted(grouped.items())
-    }
-    total_all = sum(totals.values())
-    rows = []
-    for name in sorted(grouped, key=lambda n: -totals[n]):
-        durations = sorted(grouped[name])
-        total = totals[name]
-        rows.append(
-            [
-                name,
-                str(len(durations)),
-                f"{total:.3f}s",
-                f"{1e3 * total / len(durations):.2f}ms",
-                f"{1e3 * _quantile(durations, 0.50):.2f}ms",
-                f"{1e3 * _quantile(durations, 0.95):.2f}ms",
-                format_percent(total / total_all if total_all else 0.0, 1),
-            ]
-        )
+        grouped.setdefault(span.name, []).append(selfs[span.span_id])
+    totals = {name: sum(values) for name, values in sorted(grouped.items())}
+    gap = unattributed_time(spans)
+    total_all = sum(totals.values()) + gap
+
+    def row(name: str, values: List[float], total: float) -> List[str]:
+        values = sorted(values)
+        return [
+            name,
+            str(len(values)),
+            f"{total:.3f}s",
+            f"{1e3 * total / max(1, len(values)):.2f}ms",
+            f"{1e3 * _quantile(values, 0.50):.2f}ms",
+            f"{1e3 * _quantile(values, 0.95):.2f}ms",
+            format_percent(total / total_all if total_all else 0.0, 1),
+        ]
+
+    rows = [
+        row(name, grouped[name], totals[name])
+        for name in sorted(grouped, key=lambda n: (-totals[n], n))
+    ]
+    if rows:
+        rows.append(row("(unattributed)", [gap], gap))
     return rows
 
 
@@ -121,11 +178,8 @@ def device_rows(spans: Sequence[Span]) -> List[List[str]]:
     by_subsystem: Dict[Tuple[str, str], float] = {}
     for span in spans:
         device = devices[span.span_id]
-        if span.name == "unit.execute":
-            units[device] = units.get(device, 0) + 1
-            totals[device] = totals.get(device, 0.0) + span.duration
-        elif span.name == "unit.execute_group":
-            # A fused group span covers `units` repeats in one pass.
+        if span.name == "unit.execute_group":
+            # A group span covers `units` units in one pass.
             units[device] = units.get(device, 0) + int(span.attrs.get("units", 1))
             totals[device] = totals.get(device, 0.0) + span.duration
         prefix = span.name.split(".", 1)[0]
@@ -209,7 +263,7 @@ def render_report(
         if rows:
             sections.append(
                 format_table(
-                    ["stage", "count", "total", "mean", "p50", "p95", "share"],
+                    ["stage", "count", "self", "mean", "p50", "p95", "share"],
                     rows,
                 )
             )

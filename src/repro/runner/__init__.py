@@ -11,7 +11,7 @@ guaranteed bit-identical either way:
   stream depends on execution order or worker assignment;
 * :mod:`~repro.runner.units` defines the picklable
   :class:`~repro.runner.units.CaptureUnit` payloads and the pure worker
-  function that executes one unit;
+  function that executes a group of them;
 * :mod:`~repro.runner.cache` is a content-addressed in-memory + on-disk
   cache keyed by a canonical fingerprint of everything that determines a
   unit's output (scene pixels, device profile, seed, options), letting
@@ -31,7 +31,7 @@ The package is instrumented with :mod:`repro.obs`: when an observer is
 active, ``FleetExecutor.run`` emits ``fleet.*`` spans and counters, the
 cache reports ``capture_cache.*`` hit/miss/store counts, and units
 executed in worker processes serialize their spans and metrics back with
-their payloads (see ``execute_unit_observed``). Observation is timing
+their payloads (see ``execute_unit_group_observed``). Observation is timing
 side-band only and cannot change any payload bit.
 """
 

@@ -5,36 +5,38 @@
 1. **Cache probe** — each unit's content-addressed key is looked up in
    the attached :class:`~repro.runner.cache.CaptureCache`; hits skip
    execution entirely.
-2. **Execution** — misses run through the capture path. In batched mode
-   (the default) pending units are first grouped by
+2. **Execution** — misses run through
+   :func:`~repro.runner.units.execute_unit_group`, the one executor for
+   every unit kind. Pending units are first grouped by
    :func:`~repro.runner.units.group_signature`, so all repeats of the
-   same (phone, scene, options) triple fuse into one vectorized
-   :func:`~repro.runner.units.execute_unit_group` pass; per-unit cache
-   keys are untouched because the fused outputs are split back into
-   per-unit payloads before reassembly. With ``workers > 1`` the groups
-   fan out across a ``ProcessPoolExecutor`` as pixel-free
+   same (phone, scene, options) triple fuse into one vectorized pass
+   (``batched=False`` makes every group a group of one, through the
+   same code); per-unit cache keys are untouched because the group's
+   outputs are split back into per-unit payloads before reassembly.
+   With ``workers > 1`` the groups fan out across a
+   ``ProcessPoolExecutor``: capture groups as pixel-free
    :class:`~repro.runner.shm.GroupTask` descriptors — radiance travels
-   through a shared-memory input slab, decoded pixels come back through
-   a preallocated output slab, and only scalar metadata crosses the
-   pickle boundary. With ``batched=False`` every miss runs the legacy
-   per-unit path (:func:`~repro.runner.units.execute_unit`), serially or
-   via ``pool.map``.
+   through a shared-memory input slab, photograph pixels come back
+   through a preallocated output slab, and only scalar metadata crosses
+   the pickle boundary — and ``develop`` groups (which carry their raw
+   frames) as pickled units.
 3. **Reassembly** — results return in input order, and fresh results
    are written back to the cache.
 
-Because every unit owns its RNG (see :mod:`repro.runner.seeds`) and the
-fused group path is bit-identical to per-unit execution by construction
-(``tests/runner/test_batch_invariance.py``), stage 2's mode — batched or
-not, pooled or serial, any grouping order — cannot influence any output
+Because every unit owns its RNG (see :mod:`repro.runner.seeds`) and a
+group's payload ``i`` depends on unit ``i`` alone
+(``tests/runner/test_batch_invariance.py``,
+``tests/runner/test_golden_payloads.py``), stage 2's grouping — any
+group sizes, pooled or serial, any order — cannot influence any output
 bit.
 
 Observability: when a :mod:`repro.obs` observer is active, the whole
 ``run`` is wrapped in a ``fleet.run`` span, cache probes and executions
-feed the fleet counters, and pooled workers execute through the
-``*_observed`` variants, which serialize each worker's spans and metrics
-back with its results so the parent's trace covers work done in other
-processes. Observation is side-band only — payloads (and therefore
-experiment outputs) are bit-identical with it on or off.
+feed the fleet counters, and pooled workers execute under a local
+observer whose spans and metrics travel back with the results, so the
+parent's trace covers work done in other processes. Observation is
+side-band only — payloads (and therefore experiment outputs) are
+bit-identical with it on or off.
 """
 
 from __future__ import annotations
@@ -52,9 +54,8 @@ from .cache import CaptureCache
 from .shm import GroupTask, SharedArrayRef, run_group_task
 from .units import (
     CaptureUnit,
-    execute_unit,
     execute_unit_group,
-    execute_unit_observed,
+    execute_unit_group_observed,
     group_signature,
     photograph_output_shape,
     unit_cache_key,
@@ -103,12 +104,11 @@ class FleetExecutor:
         Optional :class:`CaptureCache` consulted before execution and
         populated after.
     batched:
-        When true (the default), pending units that share a
-        :func:`~repro.runner.units.group_signature` fuse into one
-        vectorized pass per group; when false, every unit runs the
-        legacy per-unit path. Both modes produce bit-identical payloads
-        — ``batched=False`` exists as the benchmark baseline and as the
-        conservative setting for online serving.
+        Grouping only. When true (the default), pending units that share
+        a :func:`~repro.runner.units.group_signature` fuse into one
+        vectorized pass per group; when false, every unit is a group of
+        one through the same code — the per-capture arm of
+        ``bench --e2e``. Payloads are bit-identical either way.
     """
 
     def __init__(
@@ -173,12 +173,13 @@ class FleetExecutor:
     def _execute(
         self, units: List[CaptureUnit]
     ) -> List[Dict[str, np.ndarray]]:
-        if not self.batched:
-            return self._execute_per_unit(units)
-        groups = _group_pending(units)
+        if self.batched:
+            groups = _group_pending(units)
+        else:
+            groups = [[i] for i in range(len(units))]
         if self.workers <= 1 or len(units) <= 1:
-            # Serial fused path: one vectorized pass per group, straight
-            # into the active observer (if any), no serialization.
+            # Serial: one pass per group, straight into the active
+            # observer (if any), no serialization.
             results: List[Optional[Dict[str, np.ndarray]]] = [None] * len(units)
             for indices in groups:
                 payloads = execute_unit_group([units[i] for i in indices])
@@ -187,80 +188,45 @@ class FleetExecutor:
             return results  # type: ignore[return-value]
         return self._execute_groups_pooled(units, groups)
 
-    def _execute_per_unit(
-        self, units: List[CaptureUnit]
-    ) -> List[Dict[str, np.ndarray]]:
-        if self.workers <= 1 or len(units) <= 1:
-            # Serial fallback: hooks (if any) record straight into the
-            # active observer, no serialization needed.
-            return [execute_unit(unit) for unit in units]
-        max_workers = min(self.workers, len(units))
-        # Chunk generously: units are ~ms-scale, so per-task IPC overhead
-        # would otherwise dominate.
-        chunksize = max(1, len(units) // (max_workers * 4))
-        observer = obs.active()
-        with ProcessPoolExecutor(
-            max_workers=max_workers, mp_context=_pool_context()
-        ) as pool:
-            if observer is None:
-                return list(pool.map(execute_unit, units, chunksize=chunksize))
-            # Observed fan-out: each worker records into its own fresh
-            # observer and ships (payload, spans, metrics) back; merging
-            # happens here in submission order, so the assembled trace is
-            # deterministic in structure even though worker timing isn't.
-            payloads: List[Dict[str, np.ndarray]] = []
-            for payload, span_dicts, metrics_snapshot in pool.map(
-                execute_unit_observed, units, chunksize=chunksize
-            ):
-                observer.tracer.absorb(span_dicts)
-                observer.metrics.merge(metrics_snapshot)
-                payloads.append(payload)
-            return payloads
-
     # ------------------------------------------------------------------
     def _execute_groups_pooled(
         self, units: List[CaptureUnit], groups: List[List[int]]
     ) -> List[Dict[str, np.ndarray]]:
-        """Fan fused groups across the pool via shared-memory slabs.
+        """Fan groups across the pool.
 
-        Photograph groups ship as pixel-free :class:`GroupTask`
-        descriptors; units outside the fused path (no group signature)
-        fall back to the legacy per-unit ``pool.map``. Results are
-        scattered back to pending order, so callers see the same
-        alignment as every other execution mode.
+        Capture groups ship as pixel-free :class:`GroupTask` descriptors
+        over shared-memory slabs; ``develop`` groups, which carry their
+        own raw frames, ship as pickled units. Both run
+        :func:`execute_unit_group` in the worker. Results are scattered
+        back to pending order, so callers see the same alignment as
+        every other execution mode.
         """
         results: List[Optional[Dict[str, np.ndarray]]] = [None] * len(units)
         observer = obs.active()
-
-        fusable: List[List[int]] = []
-        legacy_indices: List[int] = []
-        for indices in groups:
-            first = units[indices[0]]
-            # Same condition under which group_signature is non-None;
-            # checked directly to avoid re-fingerprinting the radiance.
-            if first.kind == "photograph" and first.profile is not None:
-                fusable.append(indices)
-            else:
-                legacy_indices.extend(indices)
+        captures = [g for g in groups if units[g[0]].kind != "develop"]
+        develops = [g for g in groups if units[g[0]].kind == "develop"]
 
         # Input slab: each distinct radiance buffer is written once, no
         # matter how many groups (phones x repeats) reference it.
         radiance_refs: Dict[int, Tuple[int, np.ndarray]] = {}
         input_bytes = 0
-        for indices in fusable:
+        for indices in captures:
             radiance = units[indices[0]].radiance
             if id(radiance) not in radiance_refs:
                 contiguous = np.ascontiguousarray(radiance)
                 radiance_refs[id(radiance)] = (input_bytes, contiguous)
                 input_bytes += contiguous.nbytes
 
-        # Output slab: one (N, H, W, 3) float32 region per group whose
-        # decoded shape is statically known; the rest pickle their
-        # payloads back (the fallback path).
+        # Output slab: one (N, H, W, 3) float32 region per photograph
+        # group whose decoded shape is statically known; the rest pickle
+        # their payloads back.
         out_specs: List[Optional[Tuple[int, Tuple[int, int, int, int]]]] = []
         output_bytes = 0
-        for indices in fusable:
-            shape = photograph_output_shape(units[indices[0]].profile)
+        for indices in captures:
+            first = units[indices[0]]
+            shape = None
+            if first.kind == "photograph":
+                shape = photograph_output_shape(first.profile)
             if shape is None:
                 out_specs.append(None)
                 continue
@@ -293,7 +259,7 @@ class FleetExecutor:
                 slabs.append(output_slab)
 
             tasks: List[GroupTask] = []
-            for indices, out_spec in zip(fusable, out_specs):
+            for indices, out_spec in zip(captures, out_specs):
                 first = units[indices[0]]
                 offset, contiguous = radiance_refs[id(first.radiance)]
                 out_ref = None
@@ -319,25 +285,22 @@ class FleetExecutor:
                     )
                 )
 
-            legacy_units = [units[i] for i in legacy_indices]
-            max_workers = min(self.workers, max(1, len(tasks) + len(legacy_units)))
+            run_pickled = (
+                execute_unit_group if observer is None else execute_unit_group_observed
+            )
+            max_workers = min(self.workers, len(groups))
             with ProcessPoolExecutor(
                 max_workers=max_workers, mp_context=_pool_context()
             ) as pool:
-                futures = [pool.submit(run_group_task, task) for task in tasks]
-                if legacy_units:
-                    if observer is None:
-                        legacy_results = pool.map(execute_unit, legacy_units)
-                    else:
-                        legacy_results = pool.map(
-                            execute_unit_observed, legacy_units
-                        )
+                task_futures = [pool.submit(run_group_task, task) for task in tasks]
+                develop_futures = [
+                    pool.submit(run_pickled, [units[i] for i in indices])
+                    for indices in develops
+                ]
                 # Collect in submission order: the assembled trace (and
                 # the scatter below) is deterministic in structure even
                 # though worker timing is not.
-                for future, indices, task, out_spec in zip(
-                    futures, fusable, tasks, out_specs
-                ):
+                for future, indices, out_spec in zip(task_futures, captures, out_specs):
                     metas, span_dicts, metrics_snapshot = future.result()
                     if observer is not None and span_dicts is not None:
                         observer.tracer.absorb(span_dicts)
@@ -359,17 +322,14 @@ class FleetExecutor:
                             "encoded_size": metas[j]["encoded_size"],
                         }
                     del view
-                if legacy_units:
-                    if observer is None:
-                        for i, payload in zip(legacy_indices, legacy_results):
-                            results[i] = payload
-                    else:
-                        for i, (payload, span_dicts, metrics_snapshot) in zip(
-                            legacy_indices, legacy_results
-                        ):
-                            observer.tracer.absorb(span_dicts)
-                            observer.metrics.merge(metrics_snapshot)
-                            results[i] = payload
+                for future, indices in zip(develop_futures, develops):
+                    payloads = future.result()
+                    if observer is not None:
+                        payloads, span_dicts, metrics_snapshot = payloads
+                        observer.tracer.absorb(span_dicts)
+                        observer.metrics.merge(metrics_snapshot)
+                    for i, payload in zip(indices, payloads):
+                        results[i] = payload
         finally:
             for slab in slabs:
                 try:
@@ -388,8 +348,8 @@ def _group_pending(units: List[CaptureUnit]) -> List[List[int]]:
     """Partition pending units into fused groups, preserving order.
 
     Units sharing a :func:`group_signature` land in one group (ordered by
-    first occurrence, members in submission order); units outside the
-    fused path get singleton groups. The grouping is a pure function of
+    first occurrence, members in submission order); units without a
+    signature get singleton groups. The grouping is a pure function of
     unit *content*, so any submission order of the same multiset of units
     yields the same group contents — the batch-invariance suite shuffles
     submission order to prove the outputs don't care.

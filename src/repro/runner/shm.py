@@ -1,17 +1,16 @@
 """Zero-copy shared-memory fan-out for fused capture groups.
 
-The legacy pool path pickles every :class:`~repro.runner.units.CaptureUnit`
-— including its full radiance buffer — into each worker, and pickles the
-decoded pixel payload back out. For a fleet study the radiance fields
-dominate that traffic: every repeat of every phone re-ships the same
-scene. This module replaces both directions with
-``multiprocessing.shared_memory`` slabs:
+Pickling every :class:`~repro.runner.units.CaptureUnit` into a worker
+would ship its full radiance buffer, and the decoded pixel payload back
+out. For a fleet study the radiance fields dominate that traffic: every
+repeat of every phone would re-ship the same scene. This module replaces
+both directions with ``multiprocessing.shared_memory`` slabs:
 
 * the parent writes each *distinct* radiance buffer into one input slab
   and ships workers a :class:`SharedArrayRef` (name + offset + shape +
   dtype — a few hundred bytes) instead of the pixels;
 * the parent preallocates one output slab with an ``(N, H, W, 3)``
-  float32 region per group (shapes come from
+  float32 region per photograph group (shapes come from
   :func:`~repro.runner.units.photograph_output_shape`), and workers write
   their decoded pixels straight into it, returning only scalar metadata.
 
@@ -75,12 +74,12 @@ class SharedArrayRef:
 
 @dataclass
 class GroupTask:
-    """Everything a worker needs to run one fused capture group.
+    """Everything a worker needs to run one capture group.
 
     Deliberately pixel-free: the radiance travels as a
-    :class:`SharedArrayRef`, and decoded pixels return through ``out``
-    (or, when ``out`` is ``None`` because the group's output shape is not
-    statically known, by pickling the payloads — the fallback path).
+    :class:`SharedArrayRef`, and photograph pixels return through ``out``
+    (or, when ``out`` is ``None`` — another unit kind, or an output shape
+    that is not statically known — by pickling the payloads).
     """
 
     profile: DeviceProfile
@@ -137,7 +136,7 @@ def detach_all() -> None:
 
 
 def run_group_task(task: GroupTask):
-    """Worker entry point: rebuild the group's units and run them fused.
+    """Worker entry point: rebuild the group's units and run them as one group.
 
     Returns ``(metas, span_dicts, metrics_snapshot)`` where ``metas`` is
     one small dict per unit. With an output slab the pixels are written

@@ -34,7 +34,7 @@ import numpy as np
 
 from .. import obs
 from ..codecs.jpeg import jpeg_roundtrip_batch
-from ..codecs.registry import decode_any, get_codec
+from ..codecs.registry import get_codec, record_codec_bytes
 from ..devices.phone import Phone
 from ..devices.profiles import DeviceProfile
 from ..imaging.image import ImageBuffer, RawImage
@@ -46,7 +46,6 @@ from .seeds import unit_entropy  # noqa: F401  (re-exported convenience)
 __all__ = [
     "CaptureUnit",
     "execute_unit",
-    "execute_unit_observed",
     "execute_unit_group",
     "execute_unit_group_observed",
     "group_signature",
@@ -58,7 +57,7 @@ __all__ = [
 
 UNIT_KINDS = ("photograph", "raw", "raw_vs_jpeg", "develop")
 
-#: Cache-format version; bump when execute_unit's output changes shape.
+#: Cache-format version; bump when a unit's payload changes shape.
 _CACHE_VERSION = "unit-v1"
 
 
@@ -188,15 +187,12 @@ def _phone_for(profile: DeviceProfile) -> Phone:
 
 
 def execute_unit(unit: CaptureUnit) -> Dict[str, np.ndarray]:
-    """Run one unit to completion.
+    """Run one unit to completion: a group of one through
+    :func:`execute_unit_group`.
 
     Pure: the returned payload depends only on the unit itself (all
     randomness comes from ``unit.entropy``), which is the property the
-    parallel==serial determinism suite relies on. When observability is
-    active, the whole execution is wrapped in a ``unit.execute`` span
-    (annotated with the unit kind and device) whose children are the
-    per-stage sensor/ISP/codec spans — timing only, never affecting the
-    payload.
+    parallel==serial determinism suite relies on.
 
     Parameters
     ----------
@@ -209,53 +205,7 @@ def execute_unit(unit: CaptureUnit) -> Dict[str, np.ndarray]:
     A flat ``{name: ndarray}`` payload (cache- and IPC-friendly); the
     exact key set depends on ``unit.kind``.
     """
-    with obs.span(
-        "unit.execute",
-        kind=unit.kind,
-        device=unit.profile.name if unit.profile is not None else "-",
-    ):
-        payload = _execute_unit_inner(unit)
-    obs.count("fleet.units_executed")
-    return payload
-
-
-def _execute_unit_inner(unit: CaptureUnit) -> Dict[str, np.ndarray]:
-    if unit.kind == "develop":
-        return _execute_develop(unit)
-
-    phone = _phone_for(unit.profile)
-    rng = np.random.default_rng(tuple(unit.entropy))
-    radiance = ImageBuffer(unit.radiance)
-
-    if unit.kind == "photograph":
-        data = phone.photograph(
-            radiance,
-            rng,
-            quality=unit.options.get("quality"),
-            format_override=unit.options.get("format_override"),
-        )
-        image = decode_any(data)
-        return {
-            "pixels": image.pixels,
-            "encoded_size": np.int64(len(data)),
-        }
-
-    if unit.kind == "raw":
-        return raw_to_payload(phone.capture_raw(radiance, rng))
-
-    if unit.kind == "raw_vs_jpeg":
-        raw = phone.capture_raw(radiance, rng)
-        developed = phone.develop(raw)
-        quality = unit.options.get("quality", phone.profile.save_quality)
-        data = get_codec("jpeg").encode(developed, quality=quality)
-        conversion = build_isp(str(unit.options.get("conversion_isp", "imagemagick")))
-        return {
-            "jpeg_pixels": decode_any(data).pixels,
-            "raw_pixels": conversion.process(raw).pixels,
-            "encoded_size": np.int64(len(data)),
-        }
-
-    raise ValueError(f"unknown unit kind {unit.kind!r}")  # pragma: no cover
+    return execute_unit_group([unit])[0]
 
 
 def group_signature(
@@ -266,8 +216,8 @@ def group_signature(
     Units sharing a signature are repeat captures of the same (phone,
     scene, options) triple: their execution differs only in the per-unit
     RNG stream, which is exactly what :func:`execute_unit_group`
-    vectorizes over. Returns ``None`` for kinds the fused path does not
-    cover (they stay on the per-unit path).
+    vectorizes over. Returns ``None`` for the kinds the executor does
+    not group (they run as groups of one).
 
     ``_radiance_memo`` lets a caller grouping many units amortize the
     radiance digest across the (typical) case where every repeat of a
@@ -310,128 +260,155 @@ def photograph_output_shape(profile: DeviceProfile) -> Optional[Tuple[int, int]]
 
 
 def _group_is_fusable(units: Sequence[CaptureUnit]) -> bool:
+    """Whether ``units`` can run as one batch: same kind and options, and
+    for capture kinds the same profile and radiance (repeats of one
+    capture); ``develop`` units may differ in their raws."""
     first = units[0]
-    if first.kind != "photograph" or first.profile is None or first.radiance is None:
-        return False
     for u in units[1:]:
-        if u.kind != "photograph":
+        if u.kind != first.kind or u.options != first.options:
             return False
+        if first.kind == "develop":
+            if u.raw["mosaic"].shape != first.raw["mosaic"].shape:
+                return False
+            continue
         if u.profile is not first.profile and u.profile != first.profile:
             return False
         if u.radiance is not first.radiance and not np.array_equal(
             u.radiance, first.radiance
         ):
             return False
-        if u.options != first.options:
-            return False
     return True
 
 
 def execute_unit_group(units: Sequence[CaptureUnit]) -> List[Dict[str, np.ndarray]]:
-    """Run a group of same-(phone, scene) photograph units in one pass.
+    """Run a group of units in one batched pass — the only executor.
 
-    All units must share kind/profile/radiance/options and differ only in
-    seed entropy (i.e. be repeats of one capture); anything else falls
-    back to per-unit :func:`execute_unit`. Payload ``i`` is bit-identical
-    to ``execute_unit(units[i])`` — the sensor fans one shared exposure
+    The units of a group share kind and options and, for the capture
+    kinds, the (phone, radiance) pair: they are repeats of one capture
+    and differ only in seed entropy. The sensor fans one shared exposure
     front end out over the per-unit RNGs, the ISP develops the stack as
-    ``(N, H, W, C)``, and JPEG devices use the fused
-    :func:`~repro.codecs.jpeg.jpeg_roundtrip_batch` encode+reconstruct.
-    A single-unit group still wins: the fused roundtrip skips the decode
-    marker parse and Huffman walk entirely.
+    ``(N, H, W, C)``, and JPEG files go through the fused
+    :func:`~repro.codecs.jpeg.jpeg_roundtrip_batch` encode+reconstruct;
+    other codecs encode and decode per item. A group that mixes anything
+    else runs as groups of one. Payload ``i`` depends on ``units[i]``
+    alone, so it is the same whatever the grouping
+    (``tests/runner/test_golden_payloads.py`` pins the bytes).
+
+    When observability is active, the group runs inside a
+    ``unit.execute_group`` span (annotated with the unit kind, device,
+    and unit count) whose children are the sensor/ISP/codec spans —
+    timing only, never affecting the payload.
     """
     units = list(units)
     if not units:
         return []
     if not _group_is_fusable(units):
-        return [execute_unit(u) for u in units]
+        return [payload for u in units for payload in execute_unit_group([u])]
 
     first = units[0]
-    phone = _phone_for(first.profile)
     with obs.span(
         "unit.execute_group",
         kind=first.kind,
-        device=first.profile.name,
+        device=first.profile.name if first.profile is not None else "-",
         units=len(units),
     ):
-        rngs = [np.random.default_rng(tuple(u.entropy)) for u in units]
-        radiance = ImageBuffer(first.radiance)
-        raws = phone.capture_raw_batch(radiance, rngs)
-        images = phone.develop_batch(raws)
-
-        fmt = first.options.get("format_override")
-        codec = get_codec(str(fmt)) if fmt else phone.codec
-        quality = first.options.get("quality")
-        q = quality if quality is not None else phone.profile.save_quality
-        if codec.name == "jpeg":
-            pairs = jpeg_roundtrip_batch(images, quality=q)
-            for data, _img in pairs:
-                obs.count("codec.bytes_encoded", len(data))
-                obs.count("codec.encoded.jpeg")
-                obs.observe("codec.encoded_size", len(data))
-                obs.count("codec.bytes_decoded", len(data))
+        if first.kind == "develop":
+            payloads = _execute_develop(units)
         else:
-            # Non-JPEG codecs have no fused roundtrip; the batched
-            # sensor+ISP still carries the group, encode/decode loop here.
-            pairs = []
-            for img in images:
-                if codec.default_quality is None:
-                    data = codec.encode(img)
-                else:
-                    data = codec.encode(img, quality=q)
-                pairs.append((data, decode_any(data)))
-
-    payloads = [
-        {"pixels": img.pixels, "encoded_size": np.int64(len(data))}
-        for data, img in pairs
-    ]
-    for _ in units:
-        obs.count("fleet.units_executed")
+            payloads = _execute_capture(units)
+    obs.count("fleet.units_executed", len(units))
     return payloads
+
+
+def _roundtrip(codec, images: List[ImageBuffer], quality) -> List[Tuple[bytes, ImageBuffer]]:
+    """Encode each image and decode the file back: ``[(data, decoded)]``.
+
+    JPEG fuses both directions over the batch (with its own
+    ``codec.roundtrip`` span and the same ``codec.*`` accounting the
+    registry wrappers emit); other codecs run their registry
+    encode/decode per item. ``quality`` is ignored by codecs without a
+    quality knob.
+    """
+    if codec.name == "jpeg":
+        with obs.span("codec.roundtrip", codec=codec.name, images=len(images)):
+            pairs = jpeg_roundtrip_batch(images, quality=quality)
+        for data, _image in pairs:
+            record_codec_bytes(codec.name, data, encoded=True, decoded=True)
+        return pairs
+    pairs = []
+    for image in images:
+        if codec.default_quality is None:
+            data = codec.encode(image)
+        else:
+            data = codec.encode(image, quality=quality)
+        pairs.append((data, codec.decode(data)))
+    return pairs
+
+
+def _execute_capture(units: List[CaptureUnit]) -> List[Dict[str, np.ndarray]]:
+    first = units[0]
+    phone = _phone_for(first.profile)
+    rngs = [np.random.default_rng(tuple(u.entropy)) for u in units]
+    raws = phone.capture_raw_batch(ImageBuffer(first.radiance), rngs)
+    if first.kind == "raw":
+        return [raw_to_payload(raw) for raw in raws]
+
+    images = phone.develop_batch(raws)
+    options = first.options
+    if first.kind == "photograph":
+        fmt = options.get("format_override")
+        codec = get_codec(str(fmt)) if fmt else phone.codec
+        quality = options.get("quality")
+        q = quality if quality is not None else phone.profile.save_quality
+        return [
+            {"pixels": image.pixels, "encoded_size": np.int64(len(data))}
+            for data, image in _roundtrip(codec, images, q)
+        ]
+
+    # raw_vs_jpeg: the phone's own ISP + JPEG file, and the same raws
+    # developed by a consistent conversion ISP.
+    quality = options.get("quality", phone.profile.save_quality)
+    pairs = _roundtrip(get_codec("jpeg"), images, quality)
+    conversion = build_isp(str(options.get("conversion_isp", "imagemagick")))
+    converted = conversion.process_batch(raws)
+    return [
+        {
+            "jpeg_pixels": image.pixels,
+            "raw_pixels": developed.pixels,
+            "encoded_size": np.int64(len(data)),
+        }
+        for (data, image), developed in zip(pairs, converted)
+    ]
+
+
+def _execute_develop(units: List[CaptureUnit]) -> List[Dict[str, np.ndarray]]:
+    options = units[0].options
+    raws = [payload_to_raw(u.raw) for u in units]
+    images = build_isp(str(options["isp"])).process_batch(raws)
+    codec_name = options.get("codec")
+    if not codec_name:
+        return [{"pixels": image.pixels, "encoded_size": np.int64(0)} for image in images]
+    codec = get_codec(str(codec_name))
+    quality = options.get("quality")
+    q = int(quality) if quality is not None else codec.default_quality
+    return [
+        {"pixels": image.pixels, "encoded_size": np.int64(len(data))}
+        for data, image in _roundtrip(codec, images, q)
+    ]
 
 
 def execute_unit_group_observed(units: Sequence[CaptureUnit]):
     """Worker-side :func:`execute_unit_group` under a local observer.
 
-    Returns ``(payloads, span_dicts, metrics_snapshot)``; see
-    :func:`execute_unit_observed` for the merge protocol.
+    Runs the group under a fresh, process-local observer and returns
+    ``(payloads, span_dicts, metrics_snapshot)`` so the spans and
+    counters recorded inside the worker survive the process-pool
+    boundary; the parent merges them via
+    :meth:`~repro.obs.trace.Tracer.absorb` and
+    :meth:`~repro.obs.metrics.MetricsRegistry.merge`. The payloads are
+    the exact objects :func:`execute_unit_group` returns — observation
+    adds side-band data, never changes results.
     """
     with obs.observed() as ob:
         payloads = execute_unit_group(units)
     return payloads, ob.tracer.to_dicts(), ob.metrics.snapshot()
-
-
-def execute_unit_observed(unit: CaptureUnit):
-    """Worker-side entry point when the parent is observing.
-
-    Runs :func:`execute_unit` under a fresh, process-local observer and
-    returns ``(payload, span_dicts, metrics_snapshot)`` so the spans and
-    counters recorded inside the worker survive the process-pool
-    boundary; the parent merges them via
-    :meth:`~repro.obs.trace.Tracer.absorb` and
-    :meth:`~repro.obs.metrics.MetricsRegistry.merge`. The payload is the
-    exact object :func:`execute_unit` returns — observation adds
-    side-band data, never changes results.
-    """
-    with obs.observed() as ob:
-        payload = execute_unit(unit)
-    return payload, ob.tracer.to_dicts(), ob.metrics.snapshot()
-
-
-def _execute_develop(unit: CaptureUnit) -> Dict[str, np.ndarray]:
-    raw = payload_to_raw(unit.raw)
-    image = build_isp(str(unit.options["isp"])).process(raw)
-    codec_name = unit.options.get("codec")
-    if not codec_name:
-        return {"pixels": image.pixels, "encoded_size": np.int64(0)}
-    codec = get_codec(str(codec_name))
-    quality = unit.options.get("quality")
-    if codec.default_quality is None:
-        data = codec.encode(image)
-    else:
-        q = int(quality) if quality is not None else codec.default_quality
-        data = codec.encode(image, quality=q)
-    return {
-        "pixels": codec.decode(data).pixels,
-        "encoded_size": np.int64(len(data)),
-    }

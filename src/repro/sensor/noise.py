@@ -67,58 +67,23 @@ class SensorNoiseModel:
         rng = np.random.default_rng(self.seed)
         return (1.0 + rng.normal(0.0, self.prnu, (height, width))).astype(np.float32)
 
-    @tensor_contract("(H, W) float32, _ -> (H, W) float32")
-    def apply(self, signal: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Add all noise components to a linear [0, 1] mosaic signal.
-
-        Fixed-pattern noise (PRNU) is deterministic per sensor; temporal
-        noise (shot, read, dark, row) is drawn from ``rng`` so repeat
-        captures differ.
-        """
-        signal = np.asarray(signal, dtype=np.float32)
-        h, w = signal.shape
-
-        # Fixed-pattern gain.
-        noisy = signal * self.prnu_map(h, w)
-
-        # Photon shot noise: Gaussian approximation to Poisson statistics.
-        electrons = np.clip(noisy, 0.0, 1.0) * self.full_well_electrons
-        shot_sigma = np.sqrt(np.maximum(electrons, 0.0)) / self.full_well_electrons
-        noisy = noisy + rng.normal(0.0, 1.0, (h, w)).astype(np.float32) * shot_sigma
-
-        # Dark current: offset plus its own shot noise.
-        if self.dark_current > 0:
-            dark_electrons = self.dark_current * self.full_well_electrons
-            dark_sigma = np.sqrt(dark_electrons) / self.full_well_electrons
-            noisy = (
-                noisy
-                + self.dark_current
-                + rng.normal(0.0, dark_sigma, (h, w)).astype(np.float32)
-            )
-
-        # Read noise.
-        if self.read_noise > 0:
-            noisy = noisy + rng.normal(0.0, self.read_noise, (h, w)).astype(np.float32)
-
-        # Row banding: one offset per row.
-        if self.row_noise > 0:
-            rows = rng.normal(0.0, self.row_noise, (h, 1)).astype(np.float32)
-            noisy = noisy + rows
-
-        return noisy.astype(np.float32)
-
     @tensor_contract("(H, W) float32, _ -> (N, ?, ?) float32")
     def apply_batch(
         self, signal: np.ndarray, rngs: Sequence[np.random.Generator]
     ) -> np.ndarray:
-        """Vectorized :meth:`apply` for repeat captures of one exposure.
+        """Add all noise components to a linear [0, 1] mosaic signal, once
+        per generator: the noisy mosaics of ``len(rngs)`` repeat captures.
+
+        Fixed-pattern noise (PRNU) is deterministic per sensor; temporal
+        noise (shot, read, dark, row) is drawn from each ``rngs[i]``, so
+        repeat captures differ.
 
         One shared pre-noise ``signal`` is observed through ``len(rngs)``
         independent temporal-noise draws. The fixed-pattern gain and the
         shot-noise sigma depend only on ``signal``, so they are computed
         once and broadcast; each generator then draws its components in
-        exactly the order :meth:`apply` would (shot, dark, read, row),
-        keeping item ``i`` bit-identical to ``apply(signal, rngs[i])``.
+        one fixed order (shot, dark, read, row), so item ``i`` depends on
+        ``rngs[i]`` alone.
         """
         signal = np.asarray(signal, dtype=np.float32)
         h, w = signal.shape
@@ -126,13 +91,13 @@ class SensorNoiseModel:
         if n == 0:
             return np.empty((0, h, w), dtype=np.float32)
 
-        # Shared (rng-independent) terms, identical to the serial path.
+        # Shared (rng-independent) terms: fixed-pattern gain, shot sigma.
         noisy0 = signal * self.prnu_map(h, w)
         electrons = np.clip(noisy0, 0.0, 1.0) * self.full_well_electrons
         shot_sigma = np.sqrt(np.maximum(electrons, 0.0)) / self.full_well_electrons
 
-        # Per-generator draws, in the serial per-capture order so each
-        # item consumes its rng stream exactly as ``apply`` would.
+        # Per-generator draws: shot noise (Gaussian approximation to
+        # Poisson statistics), dark current, read noise, row banding.
         shot_draws = np.empty((n, h, w), dtype=np.float32)
         dark_draws = np.empty((n, h, w), dtype=np.float32) if self.dark_current > 0 else None
         read_draws = np.empty((n, h, w), dtype=np.float32) if self.read_noise > 0 else None
@@ -149,7 +114,6 @@ class SensorNoiseModel:
             if row_draws is not None:
                 row_draws[i] = rng.normal(0.0, self.row_noise, (h, 1)).astype(np.float32)
 
-        # Batched arithmetic with the serial path's operand association.
         noisy = noisy0[None, :, :] + shot_draws * shot_sigma[None, :, :]
         if dark_draws is not None:
             noisy = noisy + self.dark_current + dark_draws

@@ -74,12 +74,29 @@ class BayerSensor:
 
         ``rng`` drives the temporal noise; two calls with different RNG
         states model two consecutive shutter actuations (the paper's
-        Fig. 1 repeat-shot scenario).
+        Fig. 1 repeat-shot scenario). A batch of one through
+        :meth:`capture_batch`.
+        """
+        return self.capture_batch(radiance, [rng])[0]
+
+    def capture_batch(
+        self, radiance: ImageBuffer, rngs: Sequence[np.random.Generator]
+    ) -> List[RawImage]:
+        """Expose ``len(rngs)`` repeat frames of one radiance field.
+
+        Everything upstream of the temporal noise — optics, exposure, CFA
+        sampling, and the as-shot AWB estimate — depends only on the
+        radiance, so it is computed once and shared; the noise model then
+        fans the shared mosaic out over the per-repeat generators, each
+        consumed exactly as a lone capture would consume it: frame ``i``
+        depends on ``rngs[i]`` alone.
         """
         cfg = self.config
         h, w = cfg.resolution
+        if not rngs:
+            return []
 
-        with obs.span("sensor.capture"):
+        with obs.span("sensor.capture_batch", frames=len(rngs)):
             with obs.span("sensor.optics"):
                 linear = bilinear_resize(radiance.pixels, h, w)
                 linear = cfg.lens.apply(linear)
@@ -95,66 +112,17 @@ class BayerSensor:
             )[..., 0]
 
             with obs.span("sensor.noise"):
-                mosaic = cfg.noise.apply(mosaic, rng)
-
-            # Pedestal, saturation, and ADC quantization.
-            span = 1.0 - cfg.black_level
-            mosaic = cfg.black_level + np.clip(mosaic, 0.0, 1.0) * span
-            levels = (1 << cfg.adc_bits) - 1
-            mosaic = np.round(np.clip(mosaic, 0.0, 1.0) * levels) / levels
-
-            # As-shot white balance estimate (gray world over the exposed
-            # RGB, before mosaicing — phones estimate this from the full
-            # AWB stats).
-            wb = gray_world_gains(exposed)
-
-        return RawImage(
-            mosaic=mosaic.astype(np.float32),
-            pattern=cfg.pattern,
-            black_level=cfg.black_level,
-            white_level=1.0,
-            wb_gains=(float(wb[0]), float(wb[1]), float(wb[2])),
-            metadata={"exposure": cfg.exposure, "adc_bits": cfg.adc_bits},
-        )
-
-    def capture_batch(
-        self, radiance: ImageBuffer, rngs: Sequence[np.random.Generator]
-    ) -> List[RawImage]:
-        """Expose ``len(rngs)`` repeat frames of one radiance field.
-
-        Everything upstream of the temporal noise — optics, exposure, CFA
-        sampling, and the as-shot AWB estimate — depends only on the
-        radiance, so it is computed once and shared; the noise model then
-        fans the shared mosaic out over the per-repeat generators. Frame
-        ``i`` is bit-identical to ``capture(radiance, rngs[i])``.
-        """
-        cfg = self.config
-        h, w = cfg.resolution
-        if not rngs:
-            return []
-
-        with obs.span("sensor.capture_batch", frames=len(rngs)):
-            with obs.span("sensor.optics"):
-                linear = bilinear_resize(radiance.pixels, h, w)
-                linear = cfg.lens.apply(linear)
-
-            sens = np.asarray(cfg.channel_sensitivity, dtype=np.float32)
-            exposed = linear * sens * np.float32(cfg.exposure)
-
-            cell = BAYER_PATTERNS[cfg.pattern]
-            channel_map = np.tile(cell, (h // 2, w // 2))
-            mosaic = np.take_along_axis(
-                exposed.reshape(h, w, 3), channel_map[..., None], axis=2
-            )[..., 0]
-
-            with obs.span("sensor.noise"):
                 mosaics = cfg.noise.apply_batch(mosaic, rngs)
 
+            # Pedestal, saturation, and ADC quantization.
             span = 1.0 - cfg.black_level
             mosaics = cfg.black_level + np.clip(mosaics, 0.0, 1.0) * span
             levels = (1 << cfg.adc_bits) - 1
             mosaics = np.round(np.clip(mosaics, 0.0, 1.0) * levels) / levels
 
+            # As-shot white balance estimate (gray world over the exposed
+            # RGB, before mosaicing — phones estimate this from the full
+            # AWB stats).
             wb = gray_world_gains(exposed)
 
         wb_gains = (float(wb[0]), float(wb[1]), float(wb[2]))

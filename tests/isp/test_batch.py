@@ -1,10 +1,12 @@
-"""Batched ISP development is bit-identical to serial development.
+"""Batched ISP development: item ``i`` of an N-batch equals a batch of one.
 
 ``ISPPipeline.process_batch`` stacks the raw mosaics on a leading batch
-axis and runs every stage's ``process_batch``; each must reproduce the
-per-item ``process`` byte for byte. Custom stages without an override
-inherit the split -> process -> join fallback, which is correct by
-construction.
+axis and runs every stage over the whole stack; ``process(raw)`` is a
+batch of one through the same stages. Each item must come out byte for
+byte as it does alone, including when items carry different black
+levels or Bayer patterns (per-item parameters broadcast over the batch
+axis). ``tests/runner/test_golden_payloads.py`` pins the same outputs to
+hashes recorded from the former one-capture-at-a-time stage bodies.
 """
 
 import numpy as np
@@ -14,7 +16,7 @@ from repro.devices import capture_fleet
 from repro.devices.phone import Phone
 from repro.imaging.image import ImageBuffer, RawImage
 from repro.isp.pipeline import ISPPipeline
-from repro.isp.stages import BatchISPState, ISPStage
+from repro.isp.stages import ISPStage, ISPState
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +40,7 @@ def raws_by_profile():
 
 @pytest.mark.parametrize("name", [p.name for p in capture_fleet()])
 def test_process_batch_matches_serial(name, raws_by_profile):
+    """Each item of a four-capture batch equals ``develop`` (a batch of one)."""
     phone, raws = raws_by_profile[name]
     serial = [phone.develop(raw) for raw in raws]
     batch = phone.develop_batch(raws)
@@ -52,18 +55,19 @@ def test_process_batch_empty(raws_by_profile):
     assert phone.isp.process_batch([]) == []
 
 
-def test_batch_state_split_join_roundtrip(raws_by_profile):
+def test_state_from_raws_stacks_the_batch(raws_by_profile):
     _, raws = raws_by_profile[capture_fleet()[0].name]
-    state = BatchISPState(
-        raws=raws, mosaic=np.stack([r.mosaic.astype("float32") for r in raws])
-    )
-    rejoined = BatchISPState.join(state.split())
-    assert rejoined.mosaic.tobytes() == state.mosaic.tobytes()
-    assert len(rejoined) == len(state)
+    state = ISPState.from_raws(raws)
+    assert len(state) == len(raws)
+    assert state.mosaic.shape == (len(raws),) + raws[0].mosaic.shape
+    assert state.mosaic.dtype == np.float32
+    for i, raw in enumerate(raws):
+        assert state.mosaic[i].tobytes() == raw.mosaic.astype(np.float32).tobytes()
+    assert state.per_item([r.black_level for r in raws]).shape == (len(raws), 1, 1)
 
 
 class _NegateStage(ISPStage):
-    """A custom stage with no process_batch override (fallback path)."""
+    """A custom stage written against the batched state."""
 
     name = "negate"
 
@@ -74,6 +78,7 @@ class _NegateStage(ISPStage):
 
 
 def test_custom_stage_uses_fallback(raws_by_profile):
+    """A custom stage needs only ``process``; batches of N and of one agree."""
     phone, raws = raws_by_profile[capture_fleet()[0].name]
     stages = list(phone.isp.stages) + [_NegateStage()]
     pipeline = ISPPipeline(stages, name="custom_with_negate")
@@ -84,22 +89,29 @@ def test_custom_stage_uses_fallback(raws_by_profile):
 
 
 def test_mixed_raw_geometry_falls_back():
-    """Batches mixing black/white levels still develop correctly."""
-    profile = capture_fleet()[0]
-    phone = Phone(profile)
+    """Batches mixing black levels or Bayer patterns develop per item."""
+    from repro.isp.profiles import build_isp
+
     rng = np.random.default_rng(2)
-    mosaics = [rng.random((16, 16)).astype(np.float32) for _ in range(2)]
-    raws = [
+    mosaics = [rng.random((16, 16)).astype(np.float32) for _ in range(3)]
+    mixed_black = [
         RawImage(
             mosaic=m,
             pattern="RGGB",
             black_level=bl,
-            white_level=1023,
+            white_level=1.0,
             wb_gains=(2.0, 1.0, 1.5),
         )
-        for m, bl in zip(mosaics, (64, 32))  # non-uniform black level
+        for m, bl in zip(mosaics, (0.25, 0.0625, 0.25))
     ]
-    serial = [phone.isp.process(raw) for raw in raws]
-    batch = phone.isp.process_batch(raws)
-    for one, many in zip(serial, batch):
-        assert one.pixels.tobytes() == many.pixels.tobytes()
+    mixed_pattern = [
+        RawImage(mosaic=m, pattern=p, black_level=0.0625, wb_gains=(1.8, 1.0, 1.4))
+        for m, p in zip(mosaics, ("RGGB", "BGGR", "GBRG"))
+    ]
+    for isp in ("samsung_s10", "lg_k10"):  # malvar and bilinear demosaic
+        pipeline = build_isp(isp, 16, 16)
+        for raws in (mixed_black, mixed_pattern):
+            alone = [pipeline.process(raw) for raw in raws]
+            batch = pipeline.process_batch(raws)
+            for one, many in zip(alone, batch):
+                assert one.pixels.tobytes() == many.pixels.tobytes()

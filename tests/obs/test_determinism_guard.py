@@ -13,7 +13,7 @@ from repro import obs
 from repro.lab import EndToEndExperiment
 from repro.obs.report import render_report
 from repro.runner import CaptureCache, CaptureUnit, execute_unit, unit_entropy
-from repro.runner.units import execute_unit_observed
+from repro.runner.units import execute_unit_group_observed
 
 
 def _records(result):
@@ -44,9 +44,8 @@ class TestBitIdentical:
                 cache=CaptureCache(tmp_path / "fleet"),
             ).run(per_class=1)
         assert _records(bare) == _records(traced)
-        # The worker spans made it back across the pool boundary. The
-        # batched executor runs photograph units through the fused group
-        # path, so the per-unit spans appear under their group names.
+        # The worker spans made it back across the pool boundary, under
+        # the group executor's span names.
         names = {span.name for span in ob.tracer.finished()}
         assert "fleet.run" in names
         assert "unit.execute_group" in names
@@ -65,11 +64,12 @@ class TestBitIdentical:
             entropy=unit_entropy(0, profile.name, 0, 0),
         )
         bare = execute_unit(unit)
-        observed_payload, span_dicts, metrics_snapshot = execute_unit_observed(unit)
+        payloads, span_dicts, metrics_snapshot = execute_unit_group_observed([unit])
+        (observed_payload,) = payloads
         for key in bare:
             assert np.array_equal(bare[key], observed_payload[key]), key
         assert bare.keys() == observed_payload.keys()
-        assert any(d["name"] == "unit.execute" for d in span_dicts)
+        assert any(d["name"] == "unit.execute_group" for d in span_dicts)
         assert metrics_snapshot["counters"]["fleet.units_executed"] == 1
 
     def test_observation_does_not_leak_after_block(self, small_radiance):
@@ -119,7 +119,7 @@ class TestExportAndReport:
         report = render_report(trace_path=trace_path, metrics_path=metrics_path)
         assert "per-stage timing" in report
         assert "per-phone timing" in report
-        assert "unit.execute" in report
+        assert "unit.execute_group" in report
         assert "fleet.units_executed" in report
         # Phones from the fleet appear as attribution rows.
         from repro.devices import capture_fleet

@@ -1,12 +1,14 @@
 """The batch-invariance invariant: fused execution is a no-op, bitwise.
 
-The batched executor may group units however it likes — by (phone,
-scene) signature, any batch size, any submission order, serial or
-pooled, cold or warm cache — and the payloads must still be
-byte-for-byte what the legacy one-``execute_unit``-per-capture path
-produces. The hypothesis suite drives random unit mixes through every
-combination; the shared-memory regression tests pin that the pooled
-fan-out no longer ships pixel buffers through pickle.
+The executor may group units however it likes — by (phone, scene)
+signature, any batch size, any submission order, serial or pooled, cold
+or warm cache — and the payloads must still be byte-for-byte what each
+unit yields as a group of one (``execute_unit``). The golden hashes in
+``tests/runner/test_golden_payloads.py`` tie those groups of one to the
+bytes the former one-capture-at-a-time code produced. The hypothesis
+suite drives random unit mixes through every combination; the
+shared-memory regression tests pin that the pooled fan-out does not ship
+pixel buffers through pickle.
 """
 
 import pickle
@@ -62,7 +64,7 @@ def unit_pool(scenes):
 
 @pytest.fixture(scope="module")
 def reference(unit_pool):
-    """Per-unit legacy payloads, the oracle every fused run must match."""
+    """Groups of one, the oracle every fused run must match."""
     return [execute_unit(unit) for unit in unit_pool]
 
 
@@ -126,7 +128,8 @@ class TestBatchInvariance:
             _assert_payloads_equal(warm_p, reference[i])
 
     def test_mixed_kinds_share_a_run(self, unit_pool, scenes, reference):
-        """Non-photograph units ride the legacy path inside a batched run."""
+        """Raw and develop units run as groups of one inside a fused run
+        (pooled: raw over shared memory, develop as pickled units)."""
         profile = capture_fleet()[0]
         raw_unit = CaptureUnit(
             kind="raw",
@@ -134,15 +137,25 @@ class TestBatchInvariance:
             radiance=scenes[0],
             entropy=unit_entropy(0, profile.name, "raw_side", 0),
         )
-        units = [unit_pool[0], raw_unit, unit_pool[1]]
-        expected = [reference[0], execute_unit(raw_unit), reference[1]]
+        develop_unit = CaptureUnit(
+            kind="develop",
+            raw=execute_unit(raw_unit),
+            options={"isp": "adobe", "codec": "jpeg"},
+        )
+        units = [unit_pool[0], raw_unit, develop_unit, unit_pool[1]]
+        expected = [
+            reference[0],
+            execute_unit(raw_unit),
+            execute_unit(develop_unit),
+            reference[1],
+        ]
         for workers in (0, 2):
             payloads = FleetExecutor(workers=workers, batched=True).run(units)
             for payload, exp in zip(payloads, expected):
                 _assert_payloads_equal(payload, exp)
 
     def test_per_capture_mode_unchanged(self, unit_pool, reference):
-        """batched=False is still the untouched baseline path."""
+        """batched=False runs groups of one through the same executor."""
         executor = FleetExecutor(workers=0, batched=False)
         payloads = executor.run(unit_pool[:4])
         for payload, exp in zip(payloads, reference[:4]):

@@ -1,10 +1,11 @@
-"""Batched sensor capture is bit-identical to serial capture.
+"""Batched sensor capture: frame ``i`` of an N-batch equals a batch of one.
 
-``BayerSensor.capture_batch(radiance, rngs)`` must reproduce, frame for
-frame, exactly what ``capture(radiance, rngs[i])`` produces — same
-mosaic bytes, same white-balance gains — for every fleet profile. The
-noise model's ``apply_batch`` carries the same contract at the mosaic
-level, including the per-generator draw order that makes this hold.
+``BayerSensor.capture(radiance, rng)`` is ``capture_batch(radiance,
+[rng])[0]``, so ``capture_batch(radiance, rngs)`` must reproduce, frame
+for frame, exactly what each generator yields alone — same mosaic bytes,
+same white-balance gains — for every fleet profile. The noise model's
+``apply_batch`` carries the same contract at the mosaic level, including
+the per-generator draw order that makes this hold.
 """
 
 import numpy as np
@@ -60,7 +61,10 @@ def test_noise_apply_batch_matches_serial():
         rng = np.random.default_rng(3)
         signal = rng.random((32, 32)).astype(np.float32)
         serial = np.stack(
-            [noise.apply(signal, np.random.default_rng((9, r))) for r in range(5)]
+            [
+                noise.apply_batch(signal, [np.random.default_rng((9, r))])[0]
+                for r in range(5)
+            ]
         )
         batch = noise.apply_batch(
             signal, [np.random.default_rng((9, r)) for r in range(5)]

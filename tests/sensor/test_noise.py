@@ -6,6 +6,11 @@ import pytest
 from repro.sensor.noise import SensorNoiseModel
 
 
+def _noisy(model, signal, rng):
+    """One capture's noisy mosaic: a batch of one generator."""
+    return model.apply_batch(signal, [rng])[0]
+
+
 class TestValidation:
     def test_rejects_nonpositive_full_well(self):
         with pytest.raises(ValueError):
@@ -43,23 +48,23 @@ class TestTemporalNoise:
         model = SensorNoiseModel()
         signal = np.full((32, 32), 0.5, dtype=np.float32)
         rng = np.random.default_rng(0)
-        a = model.apply(signal, rng)
-        b = model.apply(signal, rng)
+        a = _noisy(model, signal, rng)
+        b = _noisy(model, signal, rng)
         assert not np.array_equal(a, b)
 
     def test_same_rng_state_reproduces(self):
         model = SensorNoiseModel()
         signal = np.full((32, 32), 0.5, dtype=np.float32)
-        a = model.apply(signal, np.random.default_rng(7))
-        b = model.apply(signal, np.random.default_rng(7))
+        a = _noisy(model, signal, np.random.default_rng(7))
+        b = _noisy(model, signal, np.random.default_rng(7))
         assert np.array_equal(a, b)
 
     def test_shot_noise_scales_with_signal(self):
         """Photon statistics: brighter signal, more absolute noise."""
         model = SensorNoiseModel(read_noise=0.0, dark_current=0.0, prnu=0.0, row_noise=0.0)
         rng = np.random.default_rng(0)
-        dark = model.apply(np.full((256, 256), 0.05, dtype=np.float32), rng)
-        bright = model.apply(np.full((256, 256), 0.8, dtype=np.float32), rng)
+        dark = _noisy(model, np.full((256, 256), 0.05, dtype=np.float32), rng)
+        bright = _noisy(model, np.full((256, 256), 0.8, dtype=np.float32), rng)
         assert bright.std() > dark.std() * 2
 
     def test_dark_current_offsets(self):
@@ -67,7 +72,7 @@ class TestTemporalNoise:
             read_noise=0.0, dark_current=0.01, prnu=0.0, row_noise=0.0,
             full_well_electrons=1e9,  # suppress shot noise
         )
-        out = model.apply(np.zeros((64, 64), dtype=np.float32), np.random.default_rng(0))
+        out = _noisy(model, np.zeros((64, 64), dtype=np.float32), np.random.default_rng(0))
         assert out.mean() == pytest.approx(0.01, abs=1e-3)
 
     def test_row_noise_is_row_correlated(self):
@@ -75,7 +80,7 @@ class TestTemporalNoise:
             read_noise=0.0, dark_current=0.0, prnu=0.0, row_noise=0.01,
             full_well_electrons=1e12,
         )
-        out = model.apply(np.zeros((64, 64), dtype=np.float32), np.random.default_rng(0))
+        out = _noisy(model, np.zeros((64, 64), dtype=np.float32), np.random.default_rng(0))
         # Within a row the offset is constant.
         assert np.allclose(out.std(axis=1), 0.0, atol=1e-6)
         assert out.std() > 0.005
@@ -86,5 +91,5 @@ class TestTemporalNoise:
             full_well_electrons=1e15,
         )
         signal = np.random.default_rng(1).random((16, 16)).astype(np.float32)
-        out = model.apply(signal, np.random.default_rng(0))
+        out = _noisy(model, signal, np.random.default_rng(0))
         assert np.allclose(out, signal, atol=1e-4)

@@ -1,11 +1,12 @@
-"""Opt-in batched serving: fused coalesced batches stay bit-identical.
+"""Fused serving: coalesced repeats run as one group and stay bit-identical.
 
-``ServeConfig(batched=True)`` routes each coalesced executor batch
-through the fused same-(phone, scene) group path. That is throughput
-machinery only: a drained batched service must agree with the serial
-per-unit runner — and with the default (unbatched) service — on every
-deterministic response field, under coalescing, repeats, worker pools,
-and arrival reordering.
+The service runs each coalesced executor batch through
+:func:`~repro.runner.units.execute_unit_group`, so repeats of one
+(phone, scene) pair in a batch fuse into one vectorized pass. That is
+throughput machinery only: a drained service must agree with the serial
+runner (one ``execute_unit`` per request) — and with a service whose
+batches hold one request each — on every deterministic response field,
+under coalescing, repeats, worker pools, and arrival reordering.
 """
 
 import asyncio
@@ -40,13 +41,8 @@ SCHEDULE = build_schedule(count=24, rate=1000.0, devices=4, scenes=2, seed=13, r
 
 
 class TestBatchedServing:
-    def test_default_is_unbatched(self):
-        assert make_config().batched is False
-        assert IngestService(make_config()).executor.batched is False
-        assert IngestService(make_config(batched=True)).executor.batched is True
-
     def test_drained_batched_service_matches_serial_reference(self):
-        config = make_config(batched=True, batch_max=16, queue_capacity=64)
+        config = make_config(batch_max=16, queue_capacity=64)
         service, report = drive(config, SCHEDULE)
         assert all(r.status == "ok" for r in report["responses"].values())
         requests = [
@@ -60,21 +56,18 @@ class TestBatchedServing:
         assert fields(report) == serial
 
     def test_batched_matches_unbatched_service(self):
-        _, unbatched = drive(make_config(batched=False), SCHEDULE)
-        _, batched = drive(make_config(batched=True), SCHEDULE)
+        """Batches of one request (groups of one) vs coalesced batches."""
+        _, unbatched = drive(make_config(batch_max=1), SCHEDULE)
+        _, batched = drive(make_config(batch_max=16, queue_capacity=64), SCHEDULE)
         assert fields(batched) == fields(unbatched)
 
     def test_batched_with_worker_pool(self):
-        _, serial = drive(make_config(batched=True, workers=0), SCHEDULE)
-        _, pooled = drive(make_config(batched=True, workers=2), SCHEDULE)
+        _, serial = drive(make_config(workers=0), SCHEDULE)
+        _, pooled = drive(make_config(workers=2), SCHEDULE)
         assert fields(serial) == fields(pooled)
 
     def test_batched_request_order(self):
         reordered = list(reversed(SCHEDULE))
-        _, forward = drive(make_config(batched=True), SCHEDULE)
-        _, backward = drive(make_config(batched=True), reordered)
+        _, forward = drive(make_config(), SCHEDULE)
+        _, backward = drive(make_config(), reordered)
         assert fields(forward) == fields(backward)
-
-    def test_batched_recorded_in_summary(self):
-        service, _ = drive(make_config(batched=True), SCHEDULE[:4])
-        assert service.run_summary()["config"]["batched"] is True
