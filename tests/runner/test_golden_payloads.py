@@ -18,6 +18,11 @@ Covered, on a small seeded radiance field:
 * an ISP batch mixing black levels and one mixing Bayer patterns;
 * the ``codec.*`` counters a fleet of photograph units emits.
 
+The digests cover float32 ISP arithmetic (SciPy filters, NumPy
+``power``/``matmul``), so they belong to the NumPy/SciPy builds they were
+recorded with; on a platform whose builds round differently, record
+them again from a known-good commit there before trusting a mismatch.
+
 Regenerate intentionally with::
 
     PYTHONPATH=src python -m pytest tests/runner/test_golden_payloads.py --regen-golden
